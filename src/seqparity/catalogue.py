@@ -1,6 +1,6 @@
 """Catalogue of every sequence the package generates.
 
-Each descriptor carries the first valid index, a batch generator, and -- for
+Each descriptor carries the first valid index, a range generator, and -- for
 the ten sequences whose parity is asserted to follow the master sequence --
 the parity relation as originally claimed, even where that claim turns out to
 be off by a shift.  The verifier reports claimed-versus-fitted side by side
@@ -41,122 +41,133 @@ class ParityRelation:
 
 @dataclass(frozen=True)
 class SequenceDescriptor:
-    """One catalogued sequence: identity, domain, generator, and parity claim."""
+    """One catalogued sequence: identity, domain, generator, and parity claim.
+
+    ``terms(start, stop)`` returns the values at indices ``start .. stop - 1``,
+    for ``offset <= start``.
+    """
 
     id: str
     offset: int
-    terms: Callable[[int], list[int]]
+    terms: Callable[[int, int], list[int]]
     summary: str = ""
     claimed: ParityRelation | None = None
     cost_class: str = CHEAP
 
 
-def _scalar(fn: Callable[[int], int], offset: int) -> Callable[[int], list[int]]:
-    def terms(count: int) -> list[int]:
-        return [fn(n) for n in range(offset, offset + count)]
+def _pointwise(fn: Callable[[int], int]) -> Callable[[int, int], list[int]]:
+    """Range generator evaluating each index on its own."""
+
+    def terms(start: int, stop: int) -> list[int]:
+        return [fn(n) for n in range(start, stop)]
 
     return terms
 
 
-def _a003071_terms(count: int) -> list[int]:
-    return [sorting.a003071(n) for n in range(1, count + 1)]
+def _prefix(fn: Callable[[int], list[int]]) -> Callable[[int, int], list[int]]:
+    """Range generator for an offset-0 sequence that is only computed as a prefix."""
+
+    def terms(start: int, stop: int) -> list[int]:
+        return fn(stop)[start:]
+
+    return terms
 
 
 _DESCRIPTORS = [
     SequenceDescriptor(
         id="A010060",
         offset=0,
-        terms=_scalar(thue_morse, 0),
+        terms=_pointwise(thue_morse),
         summary="Thue-Morse sequence t",
     ),
     SequenceDescriptor(
         id="A010059",
         offset=0,
-        terms=_scalar(thue_morse_bar, 0),
+        terms=_pointwise(thue_morse_bar),
         summary="negated Thue-Morse sequence tbar",
     ),
     SequenceDescriptor(
         id="A001969",
         offset=1,
-        terms=_scalar(evil, 1),
+        terms=_pointwise(evil),
         summary="evil numbers (even binary weight)",
     ),
     SequenceDescriptor(
         id="A000069",
         offset=1,
-        terms=_scalar(odious, 1),
+        terms=_pointwise(odious),
         summary="odious numbers (odd binary weight)",
     ),
     SequenceDescriptor(
         id="m",
         offset=0,
-        terms=_scalar(master_m, 0),
+        terms=_pointwise(master_m),
         summary="master sequence: alternate merge of tbar with zeros",
     ),
     SequenceDescriptor(
         id="A228495",
         offset=1,
-        terms=_scalar(a228495, 1),
+        terms=_pointwise(a228495),
         summary="characteristic function of odd odious numbers",
     ),
     SequenceDescriptor(
         id="A128975",
         offset=1,
-        terms=_scalar(nim.a128975_closed, 1),
+        terms=_pointwise(nim.a128975_closed),
         summary="unordered three-heap Nim P-positions with non-zero heaps",
         claimed=ParityRelation(shift=0, complement=False),
     ),
     SequenceDescriptor(
         id="A048883",
         offset=0,
-        terms=lambda count: [3 ** binary_weight(n) for n in range(count)],
+        terms=_pointwise(lambda n: 3 ** binary_weight(n)),
         summary="3 raised to the binary weight of n",
     ),
     SequenceDescriptor(
         id="A102393",
         offset=0,
-        terms=_scalar(digits.a102393, 0),
+        terms=_pointwise(digits.a102393),
         summary="wicked evil sequence: n+1 at evil n, else 0",
         claimed=ParityRelation(shift=0, complement=False),
     ),
     SequenceDescriptor(
         id="A029886",
         offset=0,
-        terms=convolution.a029886_prefix,
+        terms=_prefix(convolution.a029886_prefix),
         summary="self-convolution of the {1,2} Thue-Morse sequence",
         claimed=ParityRelation(shift=0, complement=False),
     ),
     SequenceDescriptor(
         id="A001285",
         offset=0,
-        terms=convolution.a001285_prefix,
+        terms=_pointwise(convolution.a001285),
         summary="Thue-Morse sequence over {1, 2}",
     ),
     SequenceDescriptor(
         id="A247303",
         offset=0,
-        terms=convolution.a247303_prefix,
+        terms=_prefix(convolution.a247303_prefix),
         summary="self-convolution of tbar",
         claimed=ParityRelation(shift=0, complement=False),
     ),
     SequenceDescriptor(
         id="A092524",
         offset=1,
-        terms=_scalar(digits.a092524, 1),
+        terms=_pointwise(digits.a092524),
         summary="binary digits of n read in base smallest-prime-factor(n)",
         claimed=ParityRelation(shift=1, complement=False),
     ),
     SequenceDescriptor(
         id="A104258",
         offset=1,
-        terms=_scalar(digits.a104258, 1),
+        terms=_pointwise(digits.a104258),
         summary="binary digits of n read in base n",
         claimed=ParityRelation(shift=1, complement=False),
     ),
     SequenceDescriptor(
         id="A061297",
         offset=0,
-        terms=_scalar(lcm_sums.a061297, 0),
+        terms=_pointwise(lcm_sums.a061297),
         summary="sum of lcm-window quotients, r = 0..n",
         claimed=ParityRelation(shift=0, complement=False),
         cost_class=BIGNUM_HEAVY,
@@ -164,7 +175,7 @@ _DESCRIPTORS = [
     SequenceDescriptor(
         id="A093431",
         offset=1,
-        terms=_scalar(lcm_sums.a093431, 1),
+        terms=_pointwise(lcm_sums.a093431),
         summary="sum of lcm-window quotients, r = 1..n",
         claimed=ParityRelation(shift=1, complement=True),
         cost_class=BIGNUM_HEAVY,
@@ -172,39 +183,39 @@ _DESCRIPTORS = [
     SequenceDescriptor(
         id="A003071",
         offset=1,
-        terms=_a003071_terms,
+        terms=_pointwise(sorting.a003071),
         summary="worst-case comparisons for list-merge sorting",
         claimed=ParityRelation(shift=1, complement=True),
     ),
     SequenceDescriptor(
         id="A001855",
         offset=1,
-        terms=_scalar(sorting.a001855, 1),
+        terms=_pointwise(sorting.a001855),
         summary="worst-case comparisons for binary-insertion sorting",
     ),
     SequenceDescriptor(
         id="A122248",
         offset=0,
-        terms=sorting.a122248_prefix,
+        terms=_prefix(sorting.a122248_prefix),
         summary="partial sums of a113474",
         claimed=ParityRelation(shift=0, complement=True),
     ),
     SequenceDescriptor(
         id="A113474",
         offset=1,
-        terms=sorting.a113474_prefix,
+        terms=_pointwise(sorting.a113474),
         summary="a(n) = a(n//2) + n//2, a(1) = 1",
     ),
     SequenceDescriptor(
         id="A101925",
         offset=0,
-        terms=_scalar(sorting.a101925, 0),
+        terms=_pointwise(sorting.a101925),
         summary="b(k) = b(k//2) + k, b(0) = 1",
     ),
     SequenceDescriptor(
         id="A005187",
         offset=0,
-        terms=_scalar(sorting.a005187, 0),
+        terms=_pointwise(sorting.a005187),
         summary="2-adic valuation of (2n)!",
     ),
 ]

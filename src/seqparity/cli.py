@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, catalogue, oeis
-from .verify import verify_all, verify_sequences
+from .verify import verify_sequences
 
 DEFAULT_N_MAX_CHEAP = 4096
 DEFAULT_N_MAX_HEAVY = 512
@@ -28,13 +28,15 @@ def _emit_terms(seq_id: str, start: int, values: list[int], fmt: str) -> None:
     if fmt == "plain":
         sys.stdout.write("".join(f"{v}\n" for v in values))
     elif fmt == "bfile":
-        sys.stdout.write("".join(f"{start + i} {v}\n" for i, v in enumerate(values)))
+        table = oeis.BFileTable(seq_id, tuple(enumerate(values, start)))
+        sys.stdout.write(oeis.serialize_bfile(table))
     else:
         record = {"id": seq_id, "from": start, "count": len(values), "terms": values}
         sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _generate(args: argparse.Namespace) -> tuple[int, list[int]] | int:
+def cmd_gen(args: argparse.Namespace) -> int:
+    """Terms of one window of a sequence; their parity bits for `parity`."""
     try:
         seq = catalogue.get(args.id)
     except KeyError as exc:
@@ -44,26 +46,10 @@ def _generate(args: argparse.Namespace) -> tuple[int, list[int]] | int:
         return _fail(f"{seq.id} starts at index {seq.offset}, --from {start} is below it")
     if args.count < 1:
         return _fail(f"--count must be positive, got {args.count}")
-    skip = start - seq.offset
-    values = seq.terms(skip + args.count)[skip:]
-    return start, values
-
-
-def cmd_gen(args: argparse.Namespace) -> int:
-    result = _generate(args)
-    if isinstance(result, int):
-        return result
-    start, values = result
+    values = seq.terms(start, start + args.count)
+    if args.command == "parity":
+        values = [v & 1 for v in values]
     _emit_terms(args.id, start, values, args.format)
-    return 0
-
-
-def cmd_parity(args: argparse.Namespace) -> int:
-    result = _generate(args)
-    if isinstance(result, int):
-        return result
-    start, values = result
-    _emit_terms(args.id, start, [v & 1 for v in values], args.format)
     return 0
 
 
@@ -71,7 +57,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n_cheap = args.n_max if args.n_max is not None else DEFAULT_N_MAX_CHEAP
     n_heavy = args.n_max_heavy if args.n_max_heavy is not None else DEFAULT_N_MAX_HEAVY
     if args.target == "all":
-        report = verify_all(n_cheap, n_heavy)
+        sequences = catalogue.parity_catalogue()
     else:
         try:
             seq = catalogue.get(args.target)
@@ -79,7 +65,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return _fail(str(exc))
         if seq.claimed is None:
             return _fail(f"no parity relation is catalogued for {seq.id}")
-        report = verify_sequences([seq], n_cheap, n_heavy)
+        sequences = [seq]
+    try:
+        report = verify_sequences(sequences, n_cheap, n_heavy)
+    except ValueError as exc:  # a range below the verifier's minimum
+        return _fail(str(exc))
     if args.format == "json":
         payload = {
             "meta": {
@@ -109,6 +99,8 @@ def cmd_check_bfile(args: argparse.Namespace) -> int:
         seq = catalogue.get(args.id)
     except KeyError as exc:
         return _fail(str(exc))
+    if args.limit < 0:
+        return _fail(f"--limit must be non-negative, got {args.limit}")
     try:
         table = _load_table(args)
     except (OSError, ValueError, oeis.BFileUnavailableError) as exc:
@@ -168,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     par = sub.add_parser("parity", help="print the parity bits of a sequence's terms")
     _add_generation_flags(par)
-    par.set_defaults(func=cmd_parity)
+    par.set_defaults(func=cmd_gen)
 
     ver = sub.add_parser("verify", help="check claimed parity relations and fit the true ones")
     ver.add_argument("target", help="sequence id or 'all'")

@@ -49,17 +49,10 @@ def a061297(n: int) -> int:
 
 
 def a093431(n: int) -> int:
-    """Same sum as a061297 but starting at r = 1."""
+    """Same sum as a061297 but starting at r = 1; the r = 0 summand is 1."""
     if n < 1:
         raise ValueError(f"a093431 is defined for n >= 1, got {n}")
-    total = 0
-    window = 1
-    base = 1
-    for k in range(1, n + 1):
-        window = lcm(window, n - k + 1)
-        base = lcm(base, k)
-        total += window // base
-    return total
+    return a061297(n) - 1
 
 
 def a061297_parity_shortcut(n: int) -> int:

@@ -111,6 +111,8 @@ def cross_check(
         raise ValueError(
             f"table is for {table.sequence_id!r}, descriptor is {seq.id!r}"
         )
+    if limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
     if not table.rows:
         return []
     first_index = table.rows[0][0]
@@ -119,12 +121,12 @@ def cross_check(
             f"{seq.id}: table starts at index {first_index}, "
             f"catalogue offset is {seq.offset}"
         )
-    count = min(limit, len(table.rows))
-    generated = seq.terms(count)
+    rows = table.rows[:limit]
+    generated = seq.terms(seq.offset, seq.offset + len(rows))
     return [
-        (index, value, generated[i])
-        for i, (index, value) in enumerate(table.rows[:count])
-        if generated[i] != value
+        (index, value, actual)
+        for (index, value), actual in zip(rows, generated)
+        if actual != value
     ]
 
 

@@ -3,27 +3,30 @@ and the halving-recursion chain a113474 / a101925 / a005187 / a122248."""
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import accumulate
 
 from .parity import binary_weight
 
 
-@lru_cache(maxsize=None)
 def a003071(n: int) -> int:
-    """Maximal comparisons to sort n elements by list merging, by recursion.
+    """Maximal comparisons to sort n elements by list merging.
 
     The final merge joins a block of size 2**k (the largest power of two that
     fits) with the remainder x = n - 2**k, costing n - 1 comparisons; an exact
-    power of two splits into two equal halves instead.
+    power of two splits into two equal halves instead, which solves to
+    a(2**k) = (k-1) * 2**k + 1.  Unrolling the first rule peels one set bit of
+    n per merge.
     """
     if n < 1:
         raise ValueError(f"a003071 is defined for n >= 1, got {n}")
-    if n == 1:
-        return 0
-    top = 1 << (n.bit_length() - 1)
-    if top == n:
-        return 2 * a003071(n // 2) + n - 1
-    return a003071(top) + a003071(n - top) + n - 1
+    total = 0
+    while True:
+        k = n.bit_length() - 1
+        total += ((k - 1) << k) + 1
+        if n == 1 << k:
+            return total
+        total += n - 1
+        n -= 1 << k
 
 
 def a003071_simulate(n: int) -> int:
@@ -54,21 +57,23 @@ def a001855(n: int) -> int:
     """Maximal comparisons to sort n elements by binary insertion.
 
     Inserting the k-th element costs ceil(log2 k) comparisons, so
-    a(n) = a(n-1) + ceil(log2 n) with a(1) = 0.
+    a(n) = a(n-1) + ceil(log2 n) with a(1) = 0.  With k = ceil(log2 n), the
+    sum telescopes to n*k - 2**k + 1.
     """
     if n < 1:
         raise ValueError(f"a001855 is defined for n >= 1, got {n}")
-    return sum((k - 1).bit_length() for k in range(2, n + 1))
+    k = (n - 1).bit_length()
+    return n * k - (1 << k) + 1
 
 
-@lru_cache(maxsize=None)
 def a113474(n: int) -> int:
-    """a(n) = a(n//2) + n//2 with a(1) = 1."""
+    """a(n) = a(n//2) + n//2 with a(1) = 1.
+
+    Unrolled, a(n) = 1 + sum of n // 2**j over j >= 1 = n - binary_weight(n) + 1.
+    """
     if n < 1:
         raise ValueError(f"a113474 is defined for n >= 1, got {n}")
-    if n == 1:
-        return 1
-    return a113474(n // 2) + n // 2
+    return n - n.bit_count() + 1
 
 
 def a113474_prefix(count: int) -> list[int]:
@@ -81,14 +86,14 @@ def a113474_prefix(count: int) -> list[int]:
     return values[1:]
 
 
-@lru_cache(maxsize=None)
 def a101925(k: int) -> int:
-    """b(k) = b(k//2) + k with b(0) = 1; equals a113474(2k) for k >= 1."""
+    """b(k) = b(k//2) + k with b(0) = 1; equals a113474(2k) for k >= 1.
+
+    Unrolled, b(k) = 1 + sum of k // 2**j over j >= 0 = 2k - binary_weight(k) + 1.
+    """
     if k < 0:
         raise ValueError(f"a101925 is defined for k >= 0, got {k}")
-    if k == 0:
-        return 1
-    return a101925(k // 2) + k
+    return 2 * k - k.bit_count() + 1
 
 
 def a005187(n: int) -> int:
@@ -107,11 +112,4 @@ def a122248(n: int) -> int:
 
 def a122248_prefix(count: int) -> list[int]:
     """First `count` terms of a122248 (indices 0..count-1)."""
-    out = [0] * count
-    if count > 1:
-        steps = a113474_prefix(count - 1)
-        acc = 0
-        for i, step in enumerate(steps, start=1):
-            acc += step
-            out[i] = acc
-    return out
+    return list(accumulate(map(a113474, range(1, count)), initial=0))[:count]

@@ -8,8 +8,10 @@ report shows both; it never substitutes the fit for the claim.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .catalogue import (
     BIGNUM_HEAVY,
@@ -21,46 +23,59 @@ from .parity import master_prefix
 
 MAX_SHIFT = 4
 MISMATCH_SAMPLE_CAP = 10
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _sequence_parities(seq: SequenceDescriptor, n_max: int) -> list[int]:
-    if n_max < seq.offset:
-        raise ValueError(f"n_max {n_max} is below the offset of {seq.id}")
-    return [value & 1 for value in seq.terms(n_max - seq.offset + 1)]
+def _pack(bits: list[int]) -> int:
+    """The 0/1 list as one int whose bit i is bits[i]."""
+    return int(bytes(reversed(bits)).translate(_BINARY_DIGITS) or b"0", 2)
 
 
-def _mismatches(
-    parities: list[int],
-    offset: int,
-    rel: ParityRelation,
-    n_max: int,
-    m_bits: list[int],
-) -> list[int]:
-    # indices with n + shift < 0 are outside the master sequence's domain
-    start = max(offset, -rel.shift)
-    want = 1 if rel.complement else 0
-    return [
-        n
-        for n in range(start, n_max + 1)
-        if parities[n - offset] != want ^ m_bits[n + rel.shift]
-    ]
+def _set_bits(word: int, cap: int | None = None) -> list[int]:
+    """Positions of the lowest `cap` set bits of word (all when cap is None)."""
+    # one pass over bin(word); peeling bits with word & -word copies word per bit
+    return [m.start() for m in islice(re.finditer("1", bin(word)[:1:-1]), cap)]
+
+
+class _PackedParities:
+    """A sequence's parities on [offset, n_max] and the master bits, each packed
+    into one int, so that a relation is checked with a few big-int operations."""
+
+    def __init__(self, seq: SequenceDescriptor, n_max: int, max_shift: int) -> None:
+        if n_max < seq.offset:
+            raise ValueError(f"n_max {n_max} is below the offset of {seq.id}")
+        self.offset = seq.offset
+        self.n_max = n_max
+        self.parities = _pack([v & 1 for v in seq.terms(seq.offset, n_max + 1)])
+        self.master = _pack(master_prefix(n_max + max_shift + 1))
+
+    def mismatches(self, rel: ParityRelation) -> int:
+        """Bit n is set iff the relation fails at n, for n in [max(offset, -shift), n_max]."""
+        # indices with n + shift < 0 are outside the master sequence's domain
+        start = max(self.offset, -rel.shift)
+        ones = (1 << max(self.n_max - start + 1, 0)) - 1
+        word = (
+            (self.parities >> (start - self.offset))
+            ^ (self.master >> (start + rel.shift))
+            ^ (ones if rel.complement else 0)
+        )
+        return (word & ones) << start
+
+    def fit(self, max_shift: int) -> ParityRelation | None:
+        hits = [
+            rel
+            for shift in range(-max_shift, max_shift + 1)
+            for rel in (ParityRelation(shift, False), ParityRelation(shift, True))
+            if not self.mismatches(rel)
+        ]
+        return hits[0] if len(hits) == 1 else None
 
 
 def check_relation(
     seq: SequenceDescriptor, rel: ParityRelation, n_max: int
 ) -> list[int]:
     """All n in [max(offset, -shift), n_max] where the relation fails."""
-    parities = _sequence_parities(seq, n_max)
-    m_bits = master_prefix(n_max + abs(rel.shift) + 1)
-    return _mismatches(parities, seq.offset, rel, n_max, m_bits)
-
-
-def _candidate_relations(max_shift: int) -> list[ParityRelation]:
-    return [
-        ParityRelation(shift, complement)
-        for shift in range(-max_shift, max_shift + 1)
-        for complement in (False, True)
-    ]
+    return _set_bits(_PackedParities(seq, n_max, abs(rel.shift)).mismatches(rel))
 
 
 def fit_relation(
@@ -77,14 +92,7 @@ def fit_relation(
             f"n_max {n_max} too small to fit relations for {seq.id} "
             f"(need at least offset + {2 * max_shift})"
         )
-    parities = _sequence_parities(seq, n_max)
-    m_bits = master_prefix(n_max + max_shift + 1)
-    hits = [
-        rel
-        for rel in _candidate_relations(max_shift)
-        if not _mismatches(parities, seq.offset, rel, n_max, m_bits)
-    ]
-    return hits[0] if len(hits) == 1 else None
+    return _PackedParities(seq, n_max, max_shift).fit(max_shift)
 
 
 @dataclass
@@ -176,18 +184,13 @@ def _check_sequence(seq: SequenceDescriptor, n_max: int) -> SequenceCheck:
         sequence_id=seq.id, offset=seq.offset, n_max=n_max, claimed=seq.claimed
     )
     try:
-        parities = _sequence_parities(seq, n_max)
-        m_bits = master_prefix(n_max + MAX_SHIFT + 1)
+        reach = max(MAX_SHIFT, abs(seq.claimed.shift)) if seq.claimed else MAX_SHIFT
+        packed = _PackedParities(seq, n_max, reach)
         if seq.claimed is not None:
-            bad = _mismatches(parities, seq.offset, seq.claimed, n_max, m_bits)
-            check.claimed_mismatch_count = len(bad)
-            check.claimed_mismatch_sample = bad[:MISMATCH_SAMPLE_CAP]
-        hits = [
-            rel
-            for rel in _candidate_relations(MAX_SHIFT)
-            if not _mismatches(parities, seq.offset, rel, n_max, m_bits)
-        ]
-        check.fitted = hits[0] if len(hits) == 1 else None
+            bad = packed.mismatches(seq.claimed)
+            check.claimed_mismatch_count = bad.bit_count()
+            check.claimed_mismatch_sample = _set_bits(bad, MISMATCH_SAMPLE_CAP)
+        check.fitted = packed.fit(MAX_SHIFT)
     except Exception as exc:  # aggregate failures instead of aborting the run
         check.error = f"{type(exc).__name__}: {exc}"
     check.wall_time = time.perf_counter() - started

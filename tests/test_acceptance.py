@@ -119,7 +119,7 @@ def test_criterion_1_prefix_exactness():
         started = time.perf_counter()
         for seq_id, (fn, offset, expected) in PREFIXES.items():
             if fn is None:
-                produced = CATALOGUE[seq_id].terms(len(expected))
+                produced = CATALOGUE[seq_id].terms(offset, offset + len(expected))
             else:
                 produced = [fn(n) for n in range(offset, offset + len(expected))]
             assert produced == expected, f"{seq_id} prefix mismatch"

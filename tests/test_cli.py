@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from seqparity.catalogue import CATALOGUE
 from seqparity.cli import main
 
 
@@ -254,3 +259,51 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["gen"])  # missing required id
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-bfile", "A128975", "--limit", "-1"],
+        ["verify", "all", "--n-max", "10"],
+        ["verify", "A061297", "--n-max-heavy", "20"],
+    ],
+)
+def test_out_of_range_numbers_are_one_line_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_check_bfile_limit_zero_checks_nothing(capsys):
+    code, out, _ = run_cli(capsys, "check-bfile", "A128975", "--limit", "0")
+    assert code == 0
+    assert out == "A128975: checked 0 terms, 0 mismatches\n"
+
+
+SMALL_INT = st.integers(-64, 64).map(str)
+ANY_ID = st.sampled_from(sorted(CATALOGUE) + ["A999999"])
+INTEGER_FLAG_COMMANDS = st.one_of(
+    st.builds(
+        lambda cmd, seq_id, start, count: [cmd, seq_id, "--from", start, "--count", count],
+        st.sampled_from(["gen", "parity"]), ANY_ID, SMALL_INT, SMALL_INT,
+    ),
+    st.builds(
+        lambda target, cheap, heavy: ["verify", target, "--n-max", cheap, "--n-max-heavy", heavy],
+        st.sampled_from(["all", "A003071", "A061297", "A010060"]), SMALL_INT, SMALL_INT,
+    ),
+    st.builds(lambda seq_id, limit: ["check-bfile", seq_id, "--limit", limit], ANY_ID, SMALL_INT),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(INTEGER_FLAG_COMMANDS)
+def test_integer_flags_never_escape_as_a_traceback(argv):
+    # fetch-bfile is the one subcommand without an integer flag
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)

@@ -64,6 +64,11 @@ def test_a093431_is_a061297_minus_one():
     assert all(a093431(n) == a061297(n) - 1 for n in range(1, 101))
 
 
+def test_a093431_matches_literal_sum_from_r_one():
+    for n in range(1, 60):
+        assert a093431(n) == sum(exact_term(n, r) for r in range(1, n + 1))
+
+
 def test_base_lcm_divides_window_lcm():
     for n in range(0, 121):
         for r in range(0, n + 1):

@@ -107,6 +107,9 @@ def test_cross_check_respects_limit():
         tuple((i, v + 1 if i == 10 else v) for i, v in table.rows),
     )
     assert cross_check(CATALOGUE["A061297"], corrupted, 5) == []
+    assert cross_check(CATALOGUE["A061297"], corrupted, 0) == []
+    with pytest.raises(ValueError):
+        cross_check(CATALOGUE["A061297"], corrupted, -1)
 
 
 def test_cross_check_rejects_id_disagreement():

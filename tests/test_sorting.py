@@ -21,6 +21,38 @@ A113474_PREFIX = [1, 2, 2, 4, 4, 5, 5, 8, 8, 9, 9]
 A122248_PREFIX = [0, 1, 3, 5, 9, 13, 18, 23, 31, 39, 48, 57, 68, 79, 91, 103, 119]
 
 
+ORACLE_RANGE = 5000
+
+
+def merge_comparisons_by_recursion(count: int) -> list[int]:
+    """Oracle: a003071(1..count) by the defining merge recursion."""
+    values = [0, 0]  # index 0 unused, a(1) = 0
+    for n in range(2, count + 1):
+        top = 1 << (n.bit_length() - 1)
+        if top == n:
+            values.append(2 * values[n // 2] + n - 1)
+        else:
+            values.append(values[top] + values[n - top] + n - 1)
+    return values[1:]
+
+
+def insertion_comparisons_by_summation(count: int) -> list[int]:
+    """Oracle: a001855(1..count) as running sums of ceil(log2 k)."""
+    values, total = [], 0
+    for k in range(1, count + 1):
+        total += (k - 1).bit_length()
+        values.append(total)
+    return values
+
+
+def halving_recursion(count: int) -> list[int]:
+    """Oracle: a101925(0..count-1) by b(k) = b(k//2) + k, b(0) = 1."""
+    values = [1]
+    for k in range(1, count):
+        values.append(values[k // 2] + k)
+    return values
+
+
 def legendre_two_adic_valuation_of_factorial(n: int) -> int:
     """Oracle: v2(n!) by summing floor(n / 2**j)."""
     total = 0
@@ -130,6 +162,14 @@ def test_a122248_parity_complements_master_sequence():
     prefix = a122248_prefix(2**14 + 1)
     m_bits = master_prefix(2**14 + 1)
     assert all(prefix[n] % 2 == 1 - m_bits[n] for n in range(len(prefix)))
+
+
+def test_closed_forms_match_their_recursions():
+    ns = range(1, ORACLE_RANGE)
+    assert [a003071(n) for n in ns] == merge_comparisons_by_recursion(ORACLE_RANGE - 1)
+    assert [a001855(n) for n in ns] == insertion_comparisons_by_summation(ORACLE_RANGE - 1)
+    assert [a113474(n) for n in ns] == a113474_prefix(ORACLE_RANGE - 1)
+    assert [a101925(k) for k in range(ORACLE_RANGE)] == halving_recursion(ORACLE_RANGE)
 
 
 def test_domain_errors():

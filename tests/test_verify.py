@@ -8,7 +8,10 @@ from seqparity.catalogue import (
     SequenceDescriptor,
     parity_catalogue,
 )
+from seqparity.parity import master_m
 from seqparity.verify import (
+    MAX_SHIFT,
+    MISMATCH_SAMPLE_CAP,
     check_relation,
     fit_relation,
     verify_all,
@@ -94,7 +97,7 @@ def test_fit_relation_rejects_tiny_ranges():
 
 def test_fit_relation_is_ambiguous_on_constant_sequences():
     constant = SequenceDescriptor(
-        id="zeros", offset=0, terms=lambda count: [0] * count
+        id="zeros", offset=0, terms=lambda start, stop: [0] * (stop - start)
     )
     # every all-zero window of the master sequence admits several shifts
     assert fit_relation(constant, 64) is None
@@ -165,7 +168,7 @@ def test_verify_all_smoke_run_at_minimum_range():
 
 
 def test_generator_failures_are_aggregated():
-    def broken(count):
+    def broken(start, stop):
         raise RuntimeError("boom")
 
     seq = SequenceDescriptor(
@@ -178,3 +181,46 @@ def test_generator_failures_are_aggregated():
     assert report.checks[0].error == "RuntimeError: boom"
     assert report.checks[0].fitted is None
     assert not report.all_fitted()
+
+
+CANDIDATES = [
+    ParityRelation(shift, complement)
+    for shift in range(-MAX_SHIFT, MAX_SHIFT + 1)
+    for complement in (False, True)
+]
+
+
+def naive_mismatches(parities, offset, rel, n_max):
+    """Oracle: compare index by index, from where m(n + shift) is defined."""
+    return [
+        n
+        for n in range(max(offset, -rel.shift), n_max + 1)
+        if parities[n - offset] != rel.complement ^ master_m(n + rel.shift)
+    ]
+
+
+@pytest.mark.parametrize("seq", parity_catalogue(), ids=lambda d: d.id)
+def test_packed_core_matches_a_naive_scan(seq):
+    n_max = 64 if seq.cost_class == "bignum-heavy" else 300
+    parities = [v & 1 for v in seq.terms(seq.offset, n_max + 1)]
+    naive = {rel: naive_mismatches(parities, seq.offset, rel, n_max) for rel in CANDIDATES}
+    for rel, bad in naive.items():
+        assert check_relation(seq, rel, n_max) == bad, rel.describe()
+    check = verify_sequences([seq], n_max, n_max).checks[0]
+    claimed_bad = naive[seq.claimed]
+    assert check.claimed_mismatch_count == len(claimed_bad)
+    assert check.claimed_mismatch_sample == claimed_bad[:MISMATCH_SAMPLE_CAP]
+    fits = [rel for rel, bad in naive.items() if not bad]
+    assert check.fitted == (fits[0] if len(fits) == 1 else None)
+
+
+def test_claim_shifted_beyond_the_fit_window_is_checked_in_full():
+    # at n = 66 the claim reads m(72) = tbar(36) = 1, past the fit's master bits
+    far = ParityRelation(6, False)
+    assert far.shift > MAX_SHIFT
+    seq = SequenceDescriptor(
+        id="far", offset=0, terms=CATALOGUE["A102393"].terms, claimed=far
+    )
+    parities = [v & 1 for v in seq.terms(0, 67)]
+    check = verify_sequences([seq], 66, 66).checks[0]
+    assert check.claimed_mismatch_count == len(naive_mismatches(parities, 0, far, 66))

@@ -54,8 +54,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    n_cheap = args.n_max if args.n_max is not None else DEFAULT_N_MAX_CHEAP
-    n_heavy = args.n_max_heavy if args.n_max_heavy is not None else DEFAULT_N_MAX_HEAVY
     if args.target == "all":
         sequences = catalogue.parity_catalogue()
     else:
@@ -67,7 +65,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return _fail(f"no parity relation is catalogued for {seq.id}")
         sequences = [seq]
     try:
-        report = verify_sequences(sequences, n_cheap, n_heavy)
+        report = verify_sequences(sequences, args.n_max, args.n_max_heavy)
     except ValueError as exc:  # a range below the verifier's minimum
         return _fail(str(exc))
     if args.format == "json":
@@ -164,9 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check claimed parity relations and fit the true ones")
     ver.add_argument("target", help="sequence id or 'all'")
-    ver.add_argument("--n-max", type=int, default=None,
+    ver.add_argument("--n-max", type=int, default=DEFAULT_N_MAX_CHEAP,
                      help=f"range bound for cheap sequences (default {DEFAULT_N_MAX_CHEAP})")
-    ver.add_argument("--n-max-heavy", type=int, default=None,
+    ver.add_argument("--n-max-heavy", type=int, default=DEFAULT_N_MAX_HEAVY,
                      help=f"range bound for big-integer sequences (default {DEFAULT_N_MAX_HEAVY})")
     ver.add_argument("--format", choices=["plain", "json"], default="plain")
     ver.set_defaults(func=cmd_verify)

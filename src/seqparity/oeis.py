@@ -9,11 +9,11 @@ fixtures.
 
 from __future__ import annotations
 
+import http.client
 import importlib.resources
 import os
 import re
 import tempfile
-import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
@@ -180,27 +180,26 @@ def fetch_bfile(
     """Return the b-file table for an id: cache first, then network, then fixture.
 
     Offline mode (the default) never touches the network; the result is then a
-    pure function of the cache contents and the bundled fixtures.  A network
-    fetch retries once on transient failure and caches the raw text with a
-    write-to-temporary-then-rename so concurrent readers never see a partial
-    file.
+    pure function of the cache contents and the bundled fixtures.  A cached file
+    that does not parse is a cache miss.  A network fetch retries once on any
+    failure, and caches only text that parses, with a write-to-temporary-then-
+    rename so concurrent readers never see a partial file.
     """
     cache_path = Path(cache_dir if cache_dir is not None else default_cache_dir())
     cached = cache_path / bfile_name(sequence_id)
     if cached.exists():
-        return parse_bfile(cached.read_text(encoding="utf-8"), sequence_id)
+        try:
+            return parse_bfile(cached.read_text(encoding="utf-8"), sequence_id)
+        except ValueError:  # undecodable or not a b-file: refetch, else the fixture
+            pass
     if not offline:
         url = bfile_url(sequence_id)
-        text = None
-        for attempt in (0, 1):
+        for _ in range(2):
             try:
                 text = _download(url, timeout)
-                break
-            except (urllib.error.URLError, TimeoutError, ConnectionError):
-                if attempt == 1:
-                    text = None
-        if text is not None:
-            table = parse_bfile(text, sequence_id)  # validate before caching
+                table = parse_bfile(text, sequence_id)  # validate before caching
+            except (OSError, http.client.HTTPException, ValueError):
+                continue  # no connection, cut short, undecodable or not a b-file
             _write_atomic(cached, text)
             return table
     try:

@@ -77,7 +77,8 @@ def a113474(n: int) -> int:
 
 
 def a113474_prefix(count: int) -> list[int]:
-    """First `count` terms of a113474 (indices 1..count)."""
+    """First `count` terms of a113474 (indices 1..count) by the recursion; the
+    independent oracle for the closed forms, used only by the tests."""
     values = [0] * (count + 1)
     if count >= 1:
         values[1] = 1
@@ -107,7 +108,7 @@ def a122248(n: int) -> int:
     """Partial sums of a113474: a(0) = 0, a(n) = a113474(1) + ... + a113474(n)."""
     if n < 0:
         raise ValueError(f"a122248 is defined for n >= 0, got {n}")
-    return sum(a113474_prefix(n))
+    return sum(map(a113474, range(1, n + 1)))
 
 
 def a122248_prefix(count: int) -> list[int]:

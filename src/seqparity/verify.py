@@ -9,7 +9,6 @@ report shows both; it never substitutes the fit for the claim.
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -38,16 +37,17 @@ def _set_bits(word: int, cap: int | None = None) -> list[int]:
 
 
 class _PackedParities:
-    """A sequence's parities on [offset, n_max] and the master bits, each packed
-    into one int, so that a relation is checked with a few big-int operations."""
+    """A sequence's parities on [offset, n_max] and the master bits on
+    [0, n_max + reach], each packed into one int, so that a relation with
+    |shift| <= reach is checked with a few big-int operations."""
 
-    def __init__(self, seq: SequenceDescriptor, n_max: int, max_shift: int) -> None:
+    def __init__(self, seq: SequenceDescriptor, n_max: int, reach: int) -> None:
         if n_max < seq.offset:
             raise ValueError(f"n_max {n_max} is below the offset of {seq.id}")
         self.offset = seq.offset
         self.n_max = n_max
         self.parities = _pack([v & 1 for v in seq.terms(seq.offset, n_max + 1)])
-        self.master = _pack(master_prefix(n_max + max_shift + 1))
+        self.master = _pack(master_prefix(n_max + reach + 1))
 
     def mismatches(self, rel: ParityRelation) -> int:
         """Bit n is set iff the relation fails at n, for n in [max(offset, -shift), n_max]."""
@@ -61,10 +61,10 @@ class _PackedParities:
         )
         return (word & ones) << start
 
-    def fit(self, max_shift: int) -> ParityRelation | None:
+    def fit(self) -> ParityRelation | None:
         hits = [
             rel
-            for shift in range(-max_shift, max_shift + 1)
+            for shift in range(-MAX_SHIFT, MAX_SHIFT + 1)
             for rel in (ParityRelation(shift, False), ParityRelation(shift, True))
             if not self.mismatches(rel)
         ]
@@ -78,21 +78,19 @@ def check_relation(
     return _set_bits(_PackedParities(seq, n_max, abs(rel.shift)).mismatches(rel))
 
 
-def fit_relation(
-    seq: SequenceDescriptor, n_max: int, max_shift: int = MAX_SHIFT
-) -> ParityRelation | None:
+def fit_relation(seq: SequenceDescriptor, n_max: int) -> ParityRelation | None:
     """The unique relation with zero mismatches on [offset, n_max], if any.
 
-    Scans shifts -max_shift..+max_shift with and without complement; returns
+    Scans shifts -MAX_SHIFT..+MAX_SHIFT with and without complement; returns
     None when no candidate fits or when several do (ambiguity is surfaced,
     never resolved silently).
     """
-    if n_max < seq.offset + 2 * max_shift:
+    if n_max < seq.offset + 2 * MAX_SHIFT:
         raise ValueError(
             f"n_max {n_max} too small to fit relations for {seq.id} "
-            f"(need at least offset + {2 * max_shift})"
+            f"(need at least offset + {2 * MAX_SHIFT})"
         )
-    return _PackedParities(seq, n_max, max_shift).fit(max_shift)
+    return _PackedParities(seq, n_max, MAX_SHIFT).fit()
 
 
 @dataclass
@@ -106,7 +104,6 @@ class SequenceCheck:
     claimed_mismatch_count: int = 0
     claimed_mismatch_sample: list[int] = field(default_factory=list)
     fitted: ParityRelation | None = None
-    wall_time: float = 0.0
     error: str | None = None
 
     @property
@@ -179,7 +176,6 @@ class VerificationReport:
 
 
 def _check_sequence(seq: SequenceDescriptor, n_max: int) -> SequenceCheck:
-    started = time.perf_counter()
     check = SequenceCheck(
         sequence_id=seq.id, offset=seq.offset, n_max=n_max, claimed=seq.claimed
     )
@@ -190,10 +186,9 @@ def _check_sequence(seq: SequenceDescriptor, n_max: int) -> SequenceCheck:
             bad = packed.mismatches(seq.claimed)
             check.claimed_mismatch_count = bad.bit_count()
             check.claimed_mismatch_sample = _set_bits(bad, MISMATCH_SAMPLE_CAP)
-        check.fitted = packed.fit(MAX_SHIFT)
+        check.fitted = packed.fit()
     except Exception as exc:  # aggregate failures instead of aborting the run
         check.error = f"{type(exc).__name__}: {exc}"
-    check.wall_time = time.perf_counter() - started
     return check
 
 

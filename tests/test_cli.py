@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import contextlib
+import http.client
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqparity import oeis
 from seqparity.catalogue import CATALOGUE
 from seqparity.cli import main
 
@@ -218,6 +220,21 @@ def test_fetch_bfile_unknown_id(capsys, tmp_path):
 def test_fetch_bfile_rejects_non_oeis_id(capsys, tmp_path):
     code, _, err = run_cli(capsys, "fetch-bfile", "m", "--cache-dir", str(tmp_path))
     assert code == 2
+
+
+def test_fetch_bfile_online_incomplete_read_serves_fixture(
+    capsys, tmp_path, monkeypatch
+):
+    def cut_short(url, timeout):
+        raise http.client.IncompleteRead(b"0 1\n", 4096)
+
+    monkeypatch.setattr(oeis, "_download", cut_short)
+    code, out, err = run_cli(
+        capsys, "fetch-bfile", "A061297", "--online", "--cache-dir", str(tmp_path)
+    )
+    assert code == 0
+    assert out == oeis.serialize_bfile(oeis.fixture_table("A061297"))
+    assert err == ""
 
 
 def test_cache_dir_env_var(capsys, tmp_path, monkeypatch):

@@ -3,14 +3,14 @@
 import pytest
 
 from seqparity.convolution import (
+    _odious_count,
     a001285,
-    a001285_prefix,
     a029886,
     a029886_prefix,
     a247303,
     a247303_prefix,
 )
-from seqparity.parity import master_m, master_prefix, thue_morse_bar
+from seqparity.parity import master_m, master_prefix, thue_morse, thue_morse_bar
 
 A001285_PREFIX = [1, 2, 2, 1, 2, 1, 1, 2, 2, 1, 1]
 A029886_PREFIX = [1, 4, 8, 10, 12, 14, 15, 16, 22, 24, 23, 26, 29]
@@ -36,7 +36,6 @@ def test_a001285_examples(n, expected):
 
 def test_a001285_prefix():
     assert [a001285(n) for n in range(11)] == A001285_PREFIX
-    assert a001285_prefix(11) == A001285_PREFIX
 
 
 @pytest.mark.parametrize("n, expected", [(0, 1), (1, 4), (6, 15)])
@@ -65,6 +64,22 @@ def test_a247303_convolution_window_sums(conv247303):
     for n in (0, 1, 17, 64, 100):
         window = [bar[i] * bar[n - i] for i in range(n + 1)]
         assert sum(window) == conv247303[n]
+
+
+def test_a029886_convolution_window_sums(conv029886):
+    # both routes derive a029886 from a247303 by an identity, so this literal
+    # sum of (2 - tbar(i)) * (2 - tbar(n - i)) is their independent check
+    ones_twos = [2 - thue_morse_bar(i) for i in range(RANGE + 1)]
+    for n in (0, 1, 17, 64, 100, 4095, 8192):
+        window = [ones_twos[i] * ones_twos[n - i] for i in range(n + 1)]
+        assert sum(window) == conv029886[n] == a029886(n)
+
+
+def test_odious_count_closed_form():
+    running = 0
+    for n in range(3000):
+        running += thue_morse(n)
+        assert _odious_count(n) == running
 
 
 def test_a247303_even_at_odd_indices(conv247303):

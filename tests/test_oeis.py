@@ -1,5 +1,7 @@
 """b-file parsing, serialization, fixtures, cross-checking, and retrieval."""
 
+import http.client
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -186,6 +188,61 @@ def test_fetch_online_retries_then_falls_back_to_fixture(tmp_path, monkeypatch):
     assert len(attempts) == 2  # one retry
     assert table == fixture_table("A061297")
     assert not (tmp_path / "b061297.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [b"0 1\n2 5\n", b"<html>not found</html>\n", b"0 \xff\n"],
+    ids=["index-gap", "html", "not-utf8"],
+)
+def test_fetch_offline_corrupt_cache_serves_fixture(tmp_path, monkeypatch, corrupt):
+    def explode(url, timeout):
+        raise AssertionError("network touched")
+
+    monkeypatch.setattr(oeis, "_download", explode)
+    cached = tmp_path / "b061297.txt"
+    cached.write_bytes(corrupt)
+    assert fetch_bfile("A061297", tmp_path, offline=True) == fixture_table("A061297")
+    assert cached.read_bytes() == corrupt  # left as it was, not quarantined
+
+
+def test_fetch_online_replaces_corrupt_cache(tmp_path, monkeypatch):
+    payload = "0 1\n1 3\n"
+    monkeypatch.setattr(oeis, "_download", lambda url, timeout: payload)
+    cached = tmp_path / "b048883.txt"
+    cached.write_text("0 1\n0 1\n", encoding="utf-8")
+    table = fetch_bfile("A048883", tmp_path, offline=False)
+    assert table.rows == ((0, 1), (1, 3))
+    assert cached.read_text(encoding="utf-8") == payload
+
+
+def _incomplete_read(url, timeout):
+    raise http.client.IncompleteRead(b"0 1\n1 2\n", 4096)
+
+
+def _undecodable(url, timeout):
+    raise UnicodeDecodeError("utf-8", b"0 \xff\n", 2, 3, "invalid start byte")
+
+
+def _garbled(url, timeout):
+    return "<html>502 Bad Gateway</html>\n"
+
+
+@pytest.mark.parametrize("download", [_incomplete_read, _undecodable, _garbled])
+def test_fetch_online_failed_download_falls_back_to_fixture(
+    tmp_path, monkeypatch, download
+):
+    attempts = []
+
+    def counted(url, timeout):
+        attempts.append(url)
+        return download(url, timeout)
+
+    monkeypatch.setattr(oeis, "_download", counted)
+    table = fetch_bfile("A061297", tmp_path, offline=False)
+    assert len(attempts) == 2  # one retry
+    assert table == fixture_table("A061297")
+    assert list(tmp_path.iterdir()) == []  # nothing cached
 
 
 def test_fetch_is_deterministic_offline(tmp_path):

@@ -80,6 +80,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(report.to_text())
+    if args.timings:
+        sys.stderr.write(report.to_timings())
     return 0 if report.all_fitted() else 1
 
 
@@ -167,6 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n-max-heavy", type=int, default=DEFAULT_N_MAX_HEAVY,
                      help=f"range bound for big-integer sequences (default {DEFAULT_N_MAX_HEAVY})")
     ver.add_argument("--format", choices=["plain", "json"], default="plain")
+    ver.add_argument("--timings", action="store_true",
+                     help="write each sequence's generation and fit/check seconds "
+                          "to stderr")
     ver.set_defaults(func=cmd_verify)
 
     chk = sub.add_parser("check-bfile", help="cross-check a generator against b-file data")

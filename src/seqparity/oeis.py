@@ -180,18 +180,19 @@ def fetch_bfile(
     """Return the b-file table for an id: cache first, then network, then fixture.
 
     Offline mode (the default) never touches the network; the result is then a
-    pure function of the cache contents and the bundled fixtures.  A cached file
-    that does not parse is a cache miss.  A network fetch retries once on any
-    failure, and caches only text that parses, with a write-to-temporary-then-
-    rename so concurrent readers never see a partial file.
+    pure function of the cache contents and the bundled fixtures.  A cache entry
+    that cannot be read or does not parse is a cache miss.  A network fetch
+    retries once on any failure, and caches only text that parses, with a
+    write-to-temporary-then-rename so concurrent readers never see a partial
+    file.  A cache that cannot be written does not lose the download: the
+    parsed table is returned uncached.
     """
     cache_path = Path(cache_dir if cache_dir is not None else default_cache_dir())
     cached = cache_path / bfile_name(sequence_id)
-    if cached.exists():
-        try:
-            return parse_bfile(cached.read_text(encoding="utf-8"), sequence_id)
-        except ValueError:  # undecodable or not a b-file: refetch, else the fixture
-            pass
+    try:
+        return parse_bfile(cached.read_text(encoding="utf-8"), sequence_id)
+    except (OSError, ValueError):  # absent, unreadable, undecodable or not a b-file
+        pass
     if not offline:
         url = bfile_url(sequence_id)
         for _ in range(2):
@@ -200,7 +201,10 @@ def fetch_bfile(
                 table = parse_bfile(text, sequence_id)  # validate before caching
             except (OSError, http.client.HTTPException, ValueError):
                 continue  # no connection, cut short, undecodable or not a b-file
-            _write_atomic(cached, text)
+            try:
+                _write_atomic(cached, text)
+            except OSError:  # e.g. the cache directory is a file: serve it uncached
+                pass
             return table
     try:
         return fixture_table(sequence_id)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import islice
+from time import perf_counter
 
 from .catalogue import (
     BIGNUM_HEAVY,
@@ -36,17 +37,22 @@ def _set_bits(word: int, cap: int | None = None) -> list[int]:
     return [m.start() for m in islice(re.finditer("1", bin(word)[:1:-1]), cap)]
 
 
+def _parity_word(seq: SequenceDescriptor, n_max: int) -> int:
+    """The parities of seq's values at [offset, n_max], packed by _pack."""
+    if n_max < seq.offset:
+        raise ValueError(f"n_max {n_max} is below the offset of {seq.id}")
+    return _pack([v & 1 for v in seq.terms(seq.offset, n_max + 1)])
+
+
 class _PackedParities:
-    """A sequence's parities on [offset, n_max] and the master bits on
+    """A sequence's parity word on [offset, n_max] and the master bits on
     [0, n_max + reach], each packed into one int, so that a relation with
     |shift| <= reach is checked with a few big-int operations."""
 
-    def __init__(self, seq: SequenceDescriptor, n_max: int, reach: int) -> None:
-        if n_max < seq.offset:
-            raise ValueError(f"n_max {n_max} is below the offset of {seq.id}")
-        self.offset = seq.offset
+    def __init__(self, offset: int, n_max: int, parities: int, reach: int) -> None:
+        self.offset = offset
         self.n_max = n_max
-        self.parities = _pack([v & 1 for v in seq.terms(seq.offset, n_max + 1)])
+        self.parities = parities
         self.master = _pack(master_prefix(n_max + reach + 1))
 
     def mismatches(self, rel: ParityRelation) -> int:
@@ -75,7 +81,8 @@ def check_relation(
     seq: SequenceDescriptor, rel: ParityRelation, n_max: int
 ) -> list[int]:
     """All n in [max(offset, -shift), n_max] where the relation fails."""
-    return _set_bits(_PackedParities(seq, n_max, abs(rel.shift)).mismatches(rel))
+    packed = _PackedParities(seq.offset, n_max, _parity_word(seq, n_max), abs(rel.shift))
+    return _set_bits(packed.mismatches(rel))
 
 
 def fit_relation(seq: SequenceDescriptor, n_max: int) -> ParityRelation | None:
@@ -90,12 +97,13 @@ def fit_relation(seq: SequenceDescriptor, n_max: int) -> ParityRelation | None:
             f"n_max {n_max} too small to fit relations for {seq.id} "
             f"(need at least offset + {2 * MAX_SHIFT})"
         )
-    return _PackedParities(seq, n_max, MAX_SHIFT).fit()
+    return _PackedParities(seq.offset, n_max, _parity_word(seq, n_max), MAX_SHIFT).fit()
 
 
 @dataclass
 class SequenceCheck:
-    """Outcome of checking one sequence: the claim's fate and the fitted relation."""
+    """Outcome of checking one sequence: the claim's fate and the fitted relation,
+    plus the seconds spent generating its parities and checking and fitting them."""
 
     sequence_id: str
     offset: int
@@ -105,6 +113,8 @@ class SequenceCheck:
     claimed_mismatch_sample: list[int] = field(default_factory=list)
     fitted: ParityRelation | None = None
     error: str | None = None
+    generate_s: float = 0.0
+    fit_s: float = 0.0
 
     @property
     def claimed_passed(self) -> bool | None:
@@ -174,6 +184,14 @@ class VerificationReport:
     def to_records(self) -> list[dict]:
         return [c.to_record() for c in self.checks]
 
+    def to_timings(self) -> str:
+        """Generation and fit/check seconds, one line per sequence, then the total."""
+        rows = [(c.sequence_id, c.generate_s, c.fit_s) for c in self.checks]
+        rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+        return "".join(
+            f"{name}  generate: {gen:.4f} s  fit: {fit:.4f} s\n" for name, gen, fit in rows
+        )
+
 
 def _check_sequence(seq: SequenceDescriptor, n_max: int) -> SequenceCheck:
     check = SequenceCheck(
@@ -181,12 +199,17 @@ def _check_sequence(seq: SequenceDescriptor, n_max: int) -> SequenceCheck:
     )
     try:
         reach = max(MAX_SHIFT, abs(seq.claimed.shift)) if seq.claimed else MAX_SHIFT
-        packed = _PackedParities(seq, n_max, reach)
+        started = perf_counter()
+        parities = _parity_word(seq, n_max)
+        generated = perf_counter()
+        check.generate_s = generated - started
+        packed = _PackedParities(seq.offset, n_max, parities, reach)
         if seq.claimed is not None:
             bad = packed.mismatches(seq.claimed)
             check.claimed_mismatch_count = bad.bit_count()
             check.claimed_mismatch_sample = _set_bits(bad, MISMATCH_SAMPLE_CAP)
         check.fitted = packed.fit()
+        check.fit_s = perf_counter() - generated
     except Exception as exc:  # aggregate failures instead of aborting the run
         check.error = f"{type(exc).__name__}: {exc}"
     return check

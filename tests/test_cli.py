@@ -5,6 +5,7 @@ import http.client
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqparity import oeis
-from seqparity.catalogue import CATALOGUE
+from seqparity.catalogue import CATALOGUE, parity_catalogue
 from seqparity.cli import main
 
 
@@ -146,6 +147,25 @@ def test_verify_all_json(capsys):
         }
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_verify_timings_are_opt_in_and_on_stderr(capsys, fmt):
+    argv = ["verify", "all", "--n-max", "512", "--n-max-heavy", "64", "--format", fmt]
+    code, out, err = run_cli(capsys, *argv)
+    assert err == ""
+    timed_code, timed_out, timed_err = run_cli(capsys, *argv, "--timings")
+    assert (timed_code, timed_out) == (code, out)
+    lines = timed_err.splitlines()
+    ids = [seq.id for seq in parity_catalogue()]
+    assert [line.split()[0] for line in lines] == ids + ["total"]
+    row = re.compile(r"\A\S+  generate: (\d+\.\d{4}) s  fit: (\d+\.\d{4}) s\Z")
+    assert all(row.match(line) for line in lines)
+    generate, fit = zip(*(map(float, row.match(line).groups()) for line in lines[:-1]))
+    total = row.match(lines[-1]).groups()
+    # each row is rounded to 0.1 ms
+    assert abs(float(total[0]) - sum(generate)) < 1e-4 * len(lines)
+    assert abs(float(total[1]) - sum(fit)) < 1e-4 * len(lines)
+
+
 def test_check_bfile_against_fixture(capsys):
     code, out, _ = run_cli(capsys, "check-bfile", "A128975", "--limit", "17")
     assert code == 0
@@ -234,6 +254,30 @@ def test_fetch_bfile_online_incomplete_read_serves_fixture(
     )
     assert code == 0
     assert out == oeis.serialize_bfile(oeis.fixture_table("A061297"))
+    assert err == ""
+
+
+def test_fetch_bfile_unreadable_cache_entry_serves_fixture(capsys, tmp_path):
+    (tmp_path / "b061297.txt").mkdir()
+    code, out, err = run_cli(
+        capsys, "fetch-bfile", "A061297", "--cache-dir", str(tmp_path)
+    )
+    assert code == 0
+    assert out == oeis.serialize_bfile(oeis.fixture_table("A061297"))
+    assert err == ""
+
+
+def test_fetch_bfile_online_unwritable_cache_prints_download(
+    capsys, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(oeis, "_download", lambda url, timeout: "0 1\n1 2\n2 4\n")
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "fetch-bfile", "A061297", "--online", "--cache-dir", str(not_a_dir)
+    )
+    assert code == 0
+    assert out == "0 1\n1 2\n2 4\n"
     assert err == ""
 
 

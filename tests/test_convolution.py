@@ -16,7 +16,7 @@ A001285_PREFIX = [1, 2, 2, 1, 2, 1, 1, 2, 2, 1, 1]
 A029886_PREFIX = [1, 4, 8, 10, 12, 14, 15, 16, 22, 24, 23, 26, 29]
 A247303_PREFIX = [1, 0, 0, 2, 0, 2, 3, 0, 2, 4, 3, 2, 5, 2, 2, 8, 2, 4, 7]
 
-RANGE = 2**13
+RANGE = 2**16
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +64,21 @@ def test_a247303_convolution_window_sums(conv247303):
     for n in (0, 1, 17, 64, 100):
         window = [bar[i] * bar[n - i] for i in range(n + 1)]
         assert sum(window) == conv247303[n]
+
+
+def test_a247303_prefix_matches_scalar_sum():
+    # the slot width steps from 1 to 2 bytes at count 256
+    prefix = a247303_prefix(600)
+    assert prefix == [a247303(n) for n in range(600)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 65536])
+def test_a247303_prefix_slot_width_boundaries(count):
+    # 255 and 256 take 1- and 2-byte slots, 65536 takes 3-byte slots
+    prefix = a247303_prefix(count)
+    assert len(prefix) == count
+    for n in {0, 1, count // 2, count - 1} & set(range(count)):
+        assert prefix[n] == a247303(n)
 
 
 def test_a029886_convolution_window_sums(conv029886):

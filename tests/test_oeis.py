@@ -206,6 +206,25 @@ def test_fetch_offline_corrupt_cache_serves_fixture(tmp_path, monkeypatch, corru
     assert cached.read_bytes() == corrupt  # left as it was, not quarantined
 
 
+def test_fetch_offline_unreadable_cache_entry_serves_fixture(tmp_path, monkeypatch):
+    def explode(url, timeout):
+        raise AssertionError("network touched")
+
+    monkeypatch.setattr(oeis, "_download", explode)
+    (tmp_path / "b061297.txt").mkdir()  # reading it raises IsADirectoryError
+    assert fetch_bfile("A061297", tmp_path, offline=True) == fixture_table("A061297")
+
+
+def test_fetch_online_unwritable_cache_returns_download(tmp_path, monkeypatch):
+    monkeypatch.setattr(oeis, "_download", lambda url, timeout: "0 1\n1 3\n")
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("", encoding="utf-8")
+    table = fetch_bfile("A048883", not_a_dir, offline=False)
+    assert table.rows == ((0, 1), (1, 3))
+    assert not_a_dir.read_text(encoding="utf-8") == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["cache"]  # no temporary left
+
+
 def test_fetch_online_replaces_corrupt_cache(tmp_path, monkeypatch):
     payload = "0 1\n1 3\n"
     monkeypatch.setattr(oeis, "_download", lambda url, timeout: payload)

@@ -1,14 +1,15 @@
 """Command-line interface: generate terms, query parities, verify relations,
 and cross-check against OEIS b-files.
 
-Exit codes: 0 success, 1 verification or cross-check failure, 2 usage or
-input error.
+Exit codes, all set in `main`: 0 success; 1 a failed verify or cross-check,
+an offset mismatch included; 2 a usage or input error or unwritable output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -17,11 +18,6 @@ from .verify import verify_sequences
 
 DEFAULT_N_MAX_CHEAP = 4096
 DEFAULT_N_MAX_HEAVY = 512
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _emit_terms(seq_id: str, start: int, values: list[int], fmt: str) -> None:
@@ -37,15 +33,12 @@ def _emit_terms(seq_id: str, start: int, values: list[int], fmt: str) -> None:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     """Terms of one window of a sequence; their parity bits for `parity`."""
-    try:
-        seq = catalogue.get(args.id)
-    except KeyError as exc:
-        return _fail(str(exc))
+    seq = catalogue.get(args.id)
     start = seq.offset if args.start is None else args.start
     if start < seq.offset:
-        return _fail(f"{seq.id} starts at index {seq.offset}, --from {start} is below it")
+        raise ValueError(f"{seq.id} starts at index {seq.offset}, --from {start} is below it")
     if args.count < 1:
-        return _fail(f"--count must be positive, got {args.count}")
+        raise ValueError(f"--count must be positive, got {args.count}")
     values = seq.terms(start, start + args.count)
     if args.command == "parity":
         values = [v & 1 for v in values]
@@ -57,17 +50,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.target == "all":
         sequences = catalogue.parity_catalogue()
     else:
-        try:
-            seq = catalogue.get(args.target)
-        except KeyError as exc:
-            return _fail(str(exc))
+        seq = catalogue.get(args.target)
         if seq.claimed is None:
-            return _fail(f"no parity relation is catalogued for {seq.id}")
+            raise ValueError(f"no parity relation is catalogued for {seq.id}")
         sequences = [seq]
-    try:
-        report = verify_sequences(sequences, args.n_max, args.n_max_heavy)
-    except ValueError as exc:  # a range below the verifier's minimum
-        return _fail(str(exc))
+    report = verify_sequences(sequences, args.n_max, args.n_max_heavy)
     if args.format == "json":
         payload = {
             "meta": {
@@ -90,26 +77,15 @@ def _load_table(args: argparse.Namespace) -> oeis.BFileTable:
         return oeis.fixture_table(args.id)
     if args.file == "fetch":
         return oeis.fetch_bfile(args.id, args.cache_dir, offline=args.offline)
-    path = Path(args.file)
-    return oeis.parse_bfile(path.read_text(encoding="utf-8"), args.id)
+    return oeis.parse_bfile(Path(args.file).read_text(encoding="utf-8"), args.id)
 
 
 def cmd_check_bfile(args: argparse.Namespace) -> int:
-    try:
-        seq = catalogue.get(args.id)
-    except KeyError as exc:
-        return _fail(str(exc))
+    seq = catalogue.get(args.id)
     if args.limit < 0:
-        return _fail(f"--limit must be non-negative, got {args.limit}")
-    try:
-        table = _load_table(args)
-    except (OSError, ValueError, oeis.BFileUnavailableError) as exc:
-        return _fail(str(exc))
-    try:
-        mismatches = oeis.cross_check(seq, table, args.limit)
-    except oeis.OffsetMismatchError as exc:
-        print(f"offset mismatch: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--limit must be non-negative, got {args.limit}")
+    table = _load_table(args)
+    mismatches = oeis.cross_check(seq, table, args.limit)
     checked = min(args.limit, len(table))
     for index, expected, actual in mismatches:
         print(f"{index} expected {expected} got {actual}")
@@ -118,10 +94,7 @@ def cmd_check_bfile(args: argparse.Namespace) -> int:
 
 
 def cmd_fetch_bfile(args: argparse.Namespace) -> int:
-    try:
-        table = oeis.fetch_bfile(args.id, args.cache_dir, offline=args.offline)
-    except (ValueError, oeis.BFileUnavailableError) as exc:
-        return _fail(str(exc))
+    table = oeis.fetch_bfile(args.id, args.cache_dir, offline=args.offline)
     sys.stdout.write(oeis.serialize_bfile(table))
     return 0
 
@@ -191,9 +164,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_unwritable_stdout() -> None:
+    """Point stdout at the null device if it still cannot be flushed, so the
+    flush at interpreter exit does not fail again; a sink without a descriptor
+    (an in-process caller's) is left as it is."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except oeis.OffsetMismatchError as exc:  # a ValueError, but a failed check
+        print(f"offset mismatch: {exc}", file=sys.stderr)
+        return 1
+    except (KeyError, ValueError, OSError, oeis.BFileUnavailableError) as exc:
+        _drop_unwritable_stdout()
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import contextlib
+import errno
 import http.client
 import io
 import json
@@ -302,15 +303,19 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert len(outputs) == 1
 
 
-def test_console_entry_point_subprocess():
+def _source_env() -> dict[str, str]:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_console_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "seqparity", "gen", "A010059", "--count", "5"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_source_env(),
     )
     assert result.returncode == 0
     assert result.stdout == "1\n0\n0\n1\n0\n"
@@ -343,8 +348,143 @@ def test_check_bfile_limit_zero_checks_nothing(capsys):
     assert out == "A128975: checked 0 terms, 0 mismatches\n"
 
 
+def _with_tmp(tmp_path: Path, items: list[str]) -> list[str]:
+    return [item.replace("{tmp}", str(tmp_path)) for item in items]
+
+
+# Every error path of the commands, with this exact stderr and no stdout.
+ERROR_PATHS = [
+    (["gen", "A999999"], 2, "error: \"unknown sequence id 'A999999'\"\n"),
+    (["parity", "A010060", "--from", "-1"], 2,
+     "error: A010060 starts at index 0, --from -1 is below it\n"),
+    (["gen", "A104258", "--from", "0"], 2,
+     "error: A104258 starts at index 1, --from 0 is below it\n"),
+    (["gen", "A010060", "--count", "0"], 2, "error: --count must be positive, got 0\n"),
+    (["verify", "A999999"], 2, "error: \"unknown sequence id 'A999999'\"\n"),
+    (["verify", "A010060"], 2, "error: no parity relation is catalogued for A010060\n"),
+    (["verify", "all", "--n-max", "10"], 2, "error: verification ranges must be at least 32\n"),
+    (["check-bfile", "A999999"], 2, "error: \"unknown sequence id 'A999999'\"\n"),
+    (["check-bfile", "A128975", "--limit", "-1"], 2,
+     "error: --limit must be non-negative, got -1\n"),
+    (["check-bfile", "A010060", "--file", "{tmp}/missing.txt"], 2,
+     "error: [Errno 2] No such file or directory: '{tmp}/missing.txt'\n"),
+    (["check-bfile", "A010060", "--file", "{tmp}/adir"], 2,
+     "error: [Errno 21] Is a directory: '{tmp}/adir'\n"),
+    (["check-bfile", "A010060", "--file", "{tmp}/gap.txt"], 2,
+     "error: index gap: 1 followed by 5\n"),
+    (["check-bfile", "A010060", "--file", "{tmp}/shifted.txt"], 1,
+     "offset mismatch: A010060: table starts at index 5, catalogue offset is 0\n"),
+    (["check-bfile", "m"], 2, "error: 'm' is not an OEIS sequence id\n"),
+    (["fetch-bfile", "m", "--cache-dir", "{tmp}/cache"], 2,
+     "error: 'm' is not an OEIS sequence id\n"),
+    (["fetch-bfile", "A999999", "--cache-dir", "{tmp}/cache"], 2,
+     "error: no source for A999999: cache miss, no bundled fixture\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected_code, expected_err", ERROR_PATHS)
+def test_error_paths_are_pinned(capsys, tmp_path, argv, expected_code, expected_err):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "gap.txt").write_text("0 0\n1 1\n5 1\n", encoding="utf-8")
+    (tmp_path / "shifted.txt").write_text("5 0\n6 0\n7 1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *_with_tmp(tmp_path, argv))
+    assert (code, out, err) == (expected_code, "", _with_tmp(tmp_path, [expected_err])[0])
+
+
+class _UnwritableStdout:
+    """A stdout whose every write and flush fails with one error."""
+
+    def __init__(self, error: OSError):
+        self.error = error
+
+    def write(self, text: str) -> int:
+        raise self.error
+
+    def flush(self) -> None:
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+     BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))],
+    ids=["ENOSPC", "EPIPE"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "A010060", "--count", "5"],
+        ["parity", "A061297", "--count", "12"],
+        ["verify", "A102393", "--n-max", "64"],
+        ["verify", "all", "--n-max", "64", "--n-max-heavy", "64", "--format", "json"],
+        ["check-bfile", "A128975", "--limit", "17"],
+        ["fetch-bfile", "A113474", "--cache-dir", "{tmp}"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]) + (" json" if "json" in argv else ""),
+)
+def test_unwritable_output_is_one_line_exit_two(tmp_path, argv, error):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_UnwritableStdout(error)), contextlib.redirect_stderr(err):
+        code = main(_with_tmp(tmp_path, argv))
+    assert code == 2
+    assert err.getvalue() == f"error: {error}\n"
+
+
+NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target, argv", [
+    # more than a buffer's worth fails in write(), a few terms only in flush()
+    pytest.param("closed pipe", ["gen", "A010060", "--count", "20000"], id="pipe-gen"),
+    pytest.param("/dev/full", ["gen", "A010060", "--count", "5"], marks=NEEDS_DEV_FULL,
+                 id="full-gen"),
+    pytest.param("/dev/full", ["verify", "all", "--format", "json", "--n-max", "64",
+                               "--n-max-heavy", "64"], marks=NEEDS_DEV_FULL,
+                 id="full-verify-json"),
+])
+def test_unwritable_stdout_of_the_process_is_one_line_exit_two(target, argv, unbuffered):
+    env = _source_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if target == "closed pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    else:
+        stdout = os.open(target, os.O_WRONLY)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "seqparity", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(stdout)
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("error: [Errno ")
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+
+
+def test_an_unreadable_input_leaves_stdout_alone(capsys, tmp_path):
+    # a file, unlike capsys, has a descriptor that main could take away
+    with open(tmp_path / "out.txt", "w", encoding="utf-8") as out, \
+            contextlib.redirect_stdout(out):
+        assert main(["check-bfile", "A010060", "--file", str(tmp_path)]) == 2
+        assert main(["gen", "A010060", "--count", "4"]) == 0
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "0\n1\n1\n0\n"
+    assert capsys.readouterr().err.startswith("error: [Errno 21] ")
+
+
 SMALL_INT = st.integers(-64, 64).map(str)
 ANY_ID = st.sampled_from(sorted(CATALOGUE) + ["A999999"])
+TESTS_DIR = Path(__file__).resolve().parent
+# A missing file, a directory, a file that is not a b-file, and a real b-file
+# that matches only A010060.
+BAD_FILE = st.sampled_from([
+    str(TESTS_DIR / "no-such-b-file.txt"), str(TESTS_DIR), __file__,
+    str(TESTS_DIR.parent / "src" / "seqparity" / "fixtures" / "b010060.txt"),
+])
 INTEGER_FLAG_COMMANDS = st.one_of(
     st.builds(
         lambda cmd, seq_id, start, count: [cmd, seq_id, "--from", start, "--count", count],
@@ -355,13 +495,20 @@ INTEGER_FLAG_COMMANDS = st.one_of(
         st.sampled_from(["all", "A003071", "A061297", "A010060"]), SMALL_INT, SMALL_INT,
     ),
     st.builds(lambda seq_id, limit: ["check-bfile", seq_id, "--limit", limit], ANY_ID, SMALL_INT),
+    st.builds(
+        lambda seq_id, path, limit: ["check-bfile", seq_id, "--file", path, "--limit", limit],
+        ANY_ID, BAD_FILE, SMALL_INT,
+    ),
+    st.builds(
+        lambda seq_id: ["fetch-bfile", seq_id, "--cache-dir", str(TESTS_DIR / "no-such-cache")],
+        st.one_of(ANY_ID, st.just("A000000")),
+    ),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(INTEGER_FLAG_COMMANDS)
 def test_integer_flags_never_escape_as_a_traceback(argv):
-    # fetch-bfile is the one subcommand without an integer flag
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)

@@ -73,7 +73,10 @@ def bfile_url(sequence_id: str) -> str:
 
 
 def parse_bfile(text: str, sequence_id: str = "") -> BFileTable:
-    """Parse b-file text; blank lines and '#' comments are skipped."""
+    """Parse b-file text; blank lines and '#' comments are skipped.
+
+    Text with no rows (empty, or only comments) is not a b-file.
+    """
     rows: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -91,11 +94,13 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFileTable:
                 f"line {lineno}: non-integer token in {raw!r}"
             ) from None
         rows.append((index, value))
+    if not rows:
+        raise BFileFormatError("no '<index> <value>' rows")
     return BFileTable(sequence_id=sequence_id, rows=tuple(rows))
 
 
 def serialize_bfile(table: BFileTable) -> str:
-    """Emit one '<index> <value>' line per row; parses back to the same table."""
+    """Emit one '<index> <value>' line per row; a table with rows parses back to itself."""
     return "".join(f"{index} {value}\n" for index, value in table.rows)
 
 
@@ -113,8 +118,6 @@ def cross_check(
         )
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
-    if not table.rows:
-        return []
     first_index = table.rows[0][0]
     if first_index != seq.offset:
         raise OffsetMismatchError(

@@ -379,6 +379,10 @@ ERROR_PATHS = [
      "error: 'm' is not an OEIS sequence id\n"),
     (["fetch-bfile", "A999999", "--cache-dir", "{tmp}/cache"], 2,
      "error: no source for A999999: cache miss, no bundled fixture\n"),
+    (["check-bfile", "A061297", "--file", "{tmp}/empty.txt"], 2,
+     "error: no '<index> <value>' rows\n"),
+    (["check-bfile", "A061297", "--file", "{tmp}/comments.txt"], 2,
+     "error: no '<index> <value>' rows\n"),
 ]
 
 
@@ -387,6 +391,8 @@ def test_error_paths_are_pinned(capsys, tmp_path, argv, expected_code, expected_
     (tmp_path / "adir").mkdir()
     (tmp_path / "gap.txt").write_text("0 0\n1 1\n5 1\n", encoding="utf-8")
     (tmp_path / "shifted.txt").write_text("5 0\n6 0\n7 1\n", encoding="utf-8")
+    (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+    (tmp_path / "comments.txt").write_text("# A061297\n\n", encoding="utf-8")
     code, out, err = run_cli(capsys, *_with_tmp(tmp_path, argv))
     assert (code, out, err) == (expected_code, "", _with_tmp(tmp_path, [expected_err])[0])
 

@@ -25,6 +25,27 @@ def exact_term(n: int, r: int) -> int:
     return lcm_range(n - r + 1, n) // lcm_range(1, r)
 
 
+def lcm_chain_terms(n: int):
+    """The summands for r = 0..n, from one running lcm chain each for the
+    window and the base and a big division per r."""
+    yield 1  # r = 0: empty window over empty base
+    window = 1
+    base = 1
+    for r in range(1, n + 1):
+        window = lcm(window, n - r + 1)
+        base = lcm(base, r)
+        yield window // base
+
+
+def lcm_chain_sum(n: int) -> int:
+    """Independent route to a061297: the direct lcm-chain sum."""
+    return sum(lcm_chain_terms(n))
+
+
+# n at, just below and just above prime powers: 2**7, 3**5, 31**2, 2**10, 11**3, 2**11
+PRIME_POWER_BOUNDARIES = [127, 128, 243, 960, 961, 1023, 1024, 1025, 1330, 1331, 2047, 2048]
+
+
 @pytest.mark.parametrize("lo, hi, expected", [(1, 4, 12), (5, 4, 1), (3, 4, 12)])
 def test_lcm_range_examples(lo, hi, expected):
     assert lcm_range(lo, hi) == expected
@@ -53,7 +74,23 @@ def test_a061297_prefix():
 
 def test_a061297_term_breakdown_at_four():
     assert [exact_term(4, r) for r in range(5)] == [1, 4, 6, 2, 1]
-    assert a061297(4) == 14
+    assert list(lcm_chain_terms(4)) == [1, 4, 6, 2, 1]
+    assert a061297(4) == lcm_chain_sum(4) == 14
+
+
+def test_a061297_matches_lcm_chain_sum():
+    assert all(a061297(n) == lcm_chain_sum(n) for n in range(600))
+
+
+@pytest.mark.parametrize("n", PRIME_POWER_BOUNDARIES)
+def test_a061297_matches_lcm_chain_sum_at_prime_power_boundaries(n):
+    assert a061297(n) == lcm_chain_sum(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=1500))
+def test_a061297_matches_lcm_chain_sum_sampled(n):
+    assert a061297(n) == lcm_chain_sum(n)
 
 
 def test_a093431_prefix():
@@ -101,13 +138,9 @@ def test_quotient_parity_examples(n, r, expected):
 def test_quotient_parity_matches_exact_division_exhaustively():
     # incremental form of the exact_term oracle, to keep n <= 200 affordable
     for n in range(0, 201):
-        window = 1
-        base = 1
         assert quotient_term_is_odd(n, 0) is True
-        for r in range(1, n + 1):
-            window = lcm(window, n - r + 1)
-            base = lcm(base, r)
-            assert quotient_term_is_odd(n, r) == (window // base % 2 == 1)
+        for r, term in enumerate(lcm_chain_terms(n)):
+            assert quotient_term_is_odd(n, r) == (term % 2 == 1)
 
 
 @settings(max_examples=40)
@@ -130,7 +163,7 @@ def test_parity_shortcut_examples(n, expected):
 
 
 def test_parity_shortcut_matches_exact_sum():
-    assert all(a061297(n) % 2 == a061297_parity_shortcut(n) for n in range(201))
+    assert all(a061297(n) % 2 == a061297_parity_shortcut(n) for n in range(2049))
 
 
 def test_parity_shortcut_follows_master_sequence():

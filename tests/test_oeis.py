@@ -58,6 +58,14 @@ def test_parse_rejects_non_integers():
         parse_bfile("1 x\n")
 
 
+@pytest.mark.parametrize(
+    "text", ["", "\n\n", "# header only\n#\n"], ids=["empty", "blank", "comments"]
+)
+def test_parse_rejects_text_with_no_rows(text):
+    with pytest.raises(BFileFormatError, match="no '<index> <value>' rows"):
+        parse_bfile(text)
+
+
 def test_parse_rejects_negative_values():
     with pytest.raises(BFileFormatError, match="negative"):
         parse_bfile("0 -5\n")
@@ -71,6 +79,10 @@ def test_serialize_examples():
 
 @given(tables())
 def test_round_trip_identity(table):
+    if not table.rows:  # serializes to "", which is not a b-file
+        with pytest.raises(BFileFormatError):
+            parse_bfile(serialize_bfile(table), table.sequence_id)
+        return
     assert parse_bfile(serialize_bfile(table), table.sequence_id) == table
 
 
@@ -247,7 +259,11 @@ def _garbled(url, timeout):
     return "<html>502 Bad Gateway</html>\n"
 
 
-@pytest.mark.parametrize("download", [_incomplete_read, _undecodable, _garbled])
+def _empty(url, timeout):
+    return ""
+
+
+@pytest.mark.parametrize("download", [_incomplete_read, _undecodable, _garbled, _empty])
 def test_fetch_online_failed_download_falls_back_to_fixture(
     tmp_path, monkeypatch, download
 ):
@@ -262,6 +278,11 @@ def test_fetch_online_failed_download_falls_back_to_fixture(
     assert len(attempts) == 2  # one retry
     assert table == fixture_table("A061297")
     assert list(tmp_path.iterdir()) == []  # nothing cached
+
+
+def test_fetch_offline_empty_cache_entry_serves_fixture(tmp_path):
+    (tmp_path / "b061297.txt").write_text("", encoding="utf-8")
+    assert fetch_bfile("A061297", tmp_path, offline=True) == fixture_table("A061297")
 
 
 def test_fetch_is_deterministic_offline(tmp_path):

@@ -10,20 +10,8 @@ __version__ = "0.1.0"
 from .catalogue import CATALOGUE, ParityRelation, SequenceDescriptor, parity_catalogue
 from .convolution import a001285, a029886, a247303
 from .digits import a092524, a102393, a104258, smallest_prime_factor
-from .lcm_sums import (
-    a061297,
-    a061297_parity_shortcut,
-    a093431,
-    lcm_range,
-    quotient_term_is_odd,
-    two_adic_valuation,
-)
-from .nim import (
-    a128975_bruteforce,
-    a128975_closed,
-    ordered_p_count_bruteforce,
-    ordered_p_count_closed,
-)
+from .lcm_sums import a061297, a061297_parity_shortcut, a093431
+from .nim import a128975_closed
 from .oeis import (
     BFileTable,
     cross_check,
@@ -37,24 +25,12 @@ from .parity import (
     binary_weight,
     evil,
     master_m,
-    master_m_recursive,
     master_prefix,
-    master_word,
     odious,
     thue_morse,
     thue_morse_bar,
-    thue_morse_bar_word,
-    thue_morse_word,
 )
-from .sorting import (
-    a001855,
-    a003071,
-    a003071_simulate,
-    a005187,
-    a101925,
-    a113474,
-    a122248,
-)
+from .sorting import a001855, a003071, a005187, a101925, a113474
 from .verify import (
     VerificationReport,
     check_relation,
@@ -62,22 +38,17 @@ from .verify import (
     verify_all,
     verify_sequences,
 )
-from .words import MASTER_MORPHISM, THUE_MORSE_MORPHISM, Morphism, apply_morphism, has_cube, max_run
 
 __all__ = [
     "CATALOGUE",
     "BFileTable",
-    "MASTER_MORPHISM",
-    "Morphism",
     "ParityRelation",
     "SequenceDescriptor",
-    "THUE_MORSE_MORPHISM",
     "VerificationReport",
     "__version__",
     "a001285",
     "a001855",
     "a003071",
-    "a003071_simulate",
     "a005187",
     "a029886",
     "a061297",
@@ -88,12 +59,9 @@ __all__ = [
     "a102393",
     "a104258",
     "a113474",
-    "a122248",
-    "a128975_bruteforce",
     "a128975_closed",
     "a228495",
     "a247303",
-    "apply_morphism",
     "binary_weight",
     "check_relation",
     "cross_check",
@@ -101,26 +69,15 @@ __all__ = [
     "fetch_bfile",
     "fit_relation",
     "fixture_table",
-    "has_cube",
-    "lcm_range",
     "master_m",
-    "master_m_recursive",
     "master_prefix",
-    "master_word",
-    "max_run",
     "odious",
-    "ordered_p_count_bruteforce",
-    "ordered_p_count_closed",
     "parity_catalogue",
     "parse_bfile",
-    "quotient_term_is_odd",
     "serialize_bfile",
     "smallest_prime_factor",
     "thue_morse",
     "thue_morse_bar",
-    "thue_morse_bar_word",
-    "thue_morse_word",
-    "two_adic_valuation",
     "verify_all",
     "verify_sequences",
 ]

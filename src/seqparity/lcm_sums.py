@@ -13,28 +13,9 @@ separately via 2-adic valuations without any big-integer work.
 from __future__ import annotations
 
 from itertools import compress
-from math import isqrt, lcm
+from math import isqrt
 
 from .parity import binary_weight
-
-
-def lcm_range(lo: int, hi: int) -> int:
-    """Least common multiple of {lo, ..., hi}; 1 for the empty range (lo > hi)."""
-    if lo > hi:
-        return 1
-    if lo < 1:
-        raise ValueError(f"range elements must be positive, got [{lo}, {hi}]")
-    out = 1
-    for k in range(lo, hi + 1):
-        out = lcm(out, k)
-    return out
-
-
-def two_adic_valuation(n: int) -> int:
-    """Largest v with 2**v dividing n (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"2-adic valuation requires n >= 1, got {n}")
-    return (n & -n).bit_length() - 1
 
 
 def a061297(n: int) -> int:
@@ -90,24 +71,3 @@ def a061297_parity_shortcut(n: int) -> int:
     if n & 1:
         return 0
     return (binary_weight(n // 2) + 1) & 1
-
-
-def quotient_term_is_odd(n: int, r: int) -> bool:
-    """Parity of the single summand lcm(n..n-r+1) // lcm(1..r), without dividing.
-
-    The quotient is odd iff numerator and denominator have equal 2-adic
-    valuation.  v2(lcm(1..r)) is floor(log2 r) -- the exponent of the largest
-    power of two at most r -- and v2 of the window lcm is the largest j for
-    which {n-r+1, ..., n} contains a multiple of 2**j.
-    """
-    if n < 0 or r < 0 or r > n:
-        raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
-    if r == 0:
-        return True  # the empty-window term is 1
-    window_v2 = 0
-    j = 1
-    # the window holds a multiple of 2**j iff floor(n / 2**j) > floor((n-r) / 2**j)
-    while (n >> j) > ((n - r) >> j):
-        window_v2 = j
-        j += 1
-    return window_v2 == r.bit_length() - 1

@@ -1,37 +1,11 @@
-"""Three-heap Nim P-position counts: closed forms and brute-force enumerations.
+"""Three-heap Nim P-position counts in closed form.
 
-A position (a, b, c) is a P-position exactly when a XOR b XOR c == 0. The
-brute-force counters are deliberately naive; they serve as oracles for the
-closed forms.
+A position (a, b, c) is a P-position exactly when a XOR b XOR c == 0.
 """
 
 from __future__ import annotations
 
 from .parity import binary_weight
-
-
-def ordered_p_count_closed(n: int) -> int:
-    """Ordered P-position triples (empty heaps allowed) summing to n: 3**w(n/2) for even n."""
-    if n < 0:
-        raise ValueError(f"counter total must be non-negative, got {n}")
-    if n & 1:
-        return 0
-    return 3 ** binary_weight(n // 2)
-
-
-def ordered_p_count_bruteforce(n: int) -> int:
-    """Count ordered (a, b, c), all >= 0, with a+b+c == n and a^b^c == 0.
-
-    c is forced to a^b, so the full (a, b) grid is scanned and the sum tested.
-    """
-    if n < 0:
-        raise ValueError(f"counter total must be non-negative, got {n}")
-    count = 0
-    for a in range(n + 1):
-        for b in range(n + 1):
-            if a + b + (a ^ b) == n:
-                count += 1
-    return count
 
 
 def a128975_closed(n: int) -> int:
@@ -41,20 +15,3 @@ def a128975_closed(n: int) -> int:
     if n & 1:
         return 0
     return (3 ** (binary_weight(n // 2) - 1) - 1) // 2
-
-
-def a128975_bruteforce(n: int) -> int:
-    """Count triples a < b < c, all >= 1, with a+b+c == n and a^b^c == 0.
-
-    Two equal heaps would force the third to zero, so strictly increasing
-    triples are exhaustive for the non-zero-heap count.
-    """
-    if n < 1:
-        raise ValueError(f"a128975 is defined for n >= 1, got {n}")
-    count = 0
-    for a in range(1, n // 3 + 1):
-        for b in range(a + 1, n + 1):
-            c = a ^ b
-            if c > b and a + b + c == n:
-                count += 1
-    return count

@@ -38,12 +38,14 @@ class OffsetMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class BFileTable:
-    """Parsed b-file: a sequence id plus contiguous (index, value) rows."""
+    """Parsed b-file: a sequence id plus one or more contiguous (index, value) rows."""
 
     sequence_id: str
     rows: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if not self.rows:
+            raise BFileFormatError("no '<index> <value>' rows")
         for position, (index, value) in enumerate(self.rows):
             if value < 0:
                 raise BFileFormatError(
@@ -94,13 +96,11 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFileTable:
                 f"line {lineno}: non-integer token in {raw!r}"
             ) from None
         rows.append((index, value))
-    if not rows:
-        raise BFileFormatError("no '<index> <value>' rows")
     return BFileTable(sequence_id=sequence_id, rows=tuple(rows))
 
 
 def serialize_bfile(table: BFileTable) -> str:
-    """Emit one '<index> <value>' line per row; a table with rows parses back to itself."""
+    """Emit one '<index> <value>' line per row; the text parses back to the table."""
     return "".join(f"{index} {value}\n" for index, value in table.rows)
 
 

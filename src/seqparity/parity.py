@@ -54,43 +54,11 @@ def master_m(n: int) -> int:
     return thue_morse_bar(n >> 1)
 
 
-def master_m_recursive(n: int) -> int:
-    """Master sequence bit via the recursion m(2n+1)=0, m(4n)=m(2n), m(4n+2)=1-m(2n).
-
-    Agrees with master_m everywhere; kept as an independent evaluation route.
-    """
-    if n < 0:
-        raise ValueError(f"master sequence is defined for n >= 0, got {n}")
-    if n == 0:
-        return 1
-    if n & 1:
-        return 0
-    if n % 4 == 0:
-        return master_m_recursive(n // 2)
-    # n = 4j+2: m(n) = 1 - m(2j) and 2j = (n - 2) // 2
-    return 1 - master_m_recursive((n - 2) // 2)
-
-
 def a228495(n: int) -> int:
     """Characteristic bit of the odd odious numbers: 1 iff n is odd and odious."""
     if n < 1:
         raise ValueError(f"a228495 is defined for n >= 1, got {n}")
     return 1 if (n & 1) and thue_morse(n) == 1 else 0
-
-
-def thue_morse_word(length: int) -> str:
-    """First `length` symbols of the Thue-Morse sequence as a 0/1 string."""
-    return "".join("01"[n.bit_count() & 1] for n in range(length))
-
-
-def thue_morse_bar_word(length: int) -> str:
-    """First `length` symbols of the negated Thue-Morse sequence as a 0/1 string."""
-    return "".join("10"[n.bit_count() & 1] for n in range(length))
-
-
-def master_word(length: int) -> str:
-    """First `length` symbols of the master sequence as a 0/1 string."""
-    return "".join("01"[master_m(n)] for n in range(length))
 
 
 def master_prefix(length: int) -> list[int]:

@@ -1,5 +1,5 @@
 """Worst-case comparison counts for list-merge and binary-insertion sorting,
-and the halving-recursion chain a113474 / a101925 / a005187 / a122248."""
+and the halving-recursion chain A113474 / A101925 / A005187 / A122248."""
 
 from __future__ import annotations
 
@@ -29,30 +29,6 @@ def a003071(n: int) -> int:
         n -= 1 << k
 
 
-def a003071_simulate(n: int) -> int:
-    """Comparison total from a round-based merge schedule; must agree with a003071.
-
-    Starts from n single-element lists; each round merges neighbours in pairs
-    (an odd list carries over) and a merge of sizes (p, q) charges p + q - 1.
-    """
-    if n < 1:
-        raise ValueError(f"a003071 is defined for n >= 1, got {n}")
-    sizes = [1] * n
-    total = 0
-    while len(sizes) > 1:
-        merged = []
-        i = 0
-        while i + 1 < len(sizes):
-            p, q = sizes[i], sizes[i + 1]
-            total += p + q - 1
-            merged.append(p + q)
-            i += 2
-        if i < len(sizes):
-            merged.append(sizes[i])
-        sizes = merged
-    return total
-
-
 def a001855(n: int) -> int:
     """Maximal comparisons to sort n elements by binary insertion.
 
@@ -76,17 +52,6 @@ def a113474(n: int) -> int:
     return n - n.bit_count() + 1
 
 
-def a113474_prefix(count: int) -> list[int]:
-    """First `count` terms of a113474 (indices 1..count) by the recursion; the
-    independent oracle for the closed forms, used only by the tests."""
-    values = [0] * (count + 1)
-    if count >= 1:
-        values[1] = 1
-    for i in range(2, count + 1):
-        values[i] = values[i // 2] + i // 2
-    return values[1:]
-
-
 def a101925(k: int) -> int:
     """b(k) = b(k//2) + k with b(0) = 1; equals a113474(2k) for k >= 1.
 
@@ -104,13 +69,7 @@ def a005187(n: int) -> int:
     return 2 * n - binary_weight(n)
 
 
-def a122248(n: int) -> int:
-    """Partial sums of a113474: a(0) = 0, a(n) = a113474(1) + ... + a113474(n)."""
-    if n < 0:
-        raise ValueError(f"a122248 is defined for n >= 0, got {n}")
-    return sum(map(a113474, range(1, n + 1)))
-
-
 def a122248_prefix(count: int) -> list[int]:
-    """First `count` terms of a122248 (indices 0..count-1)."""
+    """First `count` terms of A122248 (indices 0..count-1), the partial sums of
+    a113474: a(0) = 0, a(n) = a113474(1) + ... + a113474(n)."""
     return list(accumulate(map(a113474, range(1, count)), initial=0))[:count]

@@ -1,0 +1,214 @@
+"""Independent routes that the tests compare the package's generators against.
+
+None of this ships in seqparity: each function is a deliberately naive or
+differently derived evaluation of a quantity the package computes by its one
+production route.  Binary words are plain strings over {"0", "1"}.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import lcm
+from typing import Iterable, Mapping
+
+
+def as_word(bits: Iterable[int]) -> str:
+    """The 0/1 string of a sequence of bits, e.g. a prefix from the catalogue."""
+    return "".join(map(str, bits))
+
+
+@dataclass(frozen=True)
+class Morphism:
+    """A substitution on fixed-size blocks of symbols.
+
+    block_length 1 gives an ordinary letter morphism; block_length 2 rewrites
+    non-overlapping symbol pairs.
+    """
+
+    block_length: int
+    rules: Mapping[str, str]
+
+    def __post_init__(self) -> None:
+        if self.block_length < 1:
+            raise ValueError(f"block_length must be positive, got {self.block_length}")
+
+
+#: Letter morphism 0 -> 01, 1 -> 10; the Thue-Morse word is its fixed point.
+THUE_MORSE_MORPHISM = Morphism(1, {"0": "01", "1": "10"})
+
+#: Pair morphism 00 -> 0010, 10 -> 1000; the master word is its fixed point.
+MASTER_MORPHISM = Morphism(2, {"00": "0010", "10": "1000"})
+
+
+def apply_morphism(word: str, morphism: Morphism) -> str:
+    """Rewrite consecutive non-overlapping blocks of `word` by the morphism rules.
+
+    Example:
+        >>> apply_morphism("01", THUE_MORSE_MORPHISM)
+        '0110'
+        >>> apply_morphism("1000", MASTER_MORPHISM)
+        '10000010'
+    """
+    size = morphism.block_length
+    if len(word) % size != 0:
+        raise ValueError(
+            f"word length {len(word)} is not divisible by block length {size}"
+        )
+    pieces = []
+    for i in range(0, len(word), size):
+        block = word[i : i + size]
+        try:
+            pieces.append(morphism.rules[block])
+        except KeyError:
+            raise ValueError(f"no rule for block {block!r} at position {i}") from None
+    return "".join(pieces)
+
+
+def max_run(word: str, symbol: str) -> int:
+    """Length of the longest run of `symbol` in `word`."""
+    best = 0
+    run = 0
+    for ch in word:
+        if ch == symbol:
+            run += 1
+            if run > best:
+                best = run
+        else:
+            run = 0
+    return best
+
+
+def has_cube(word: str, max_block: int) -> bool:
+    """True iff `word` contains a factor xxx with 1 <= len(x) <= max_block.
+
+    For each candidate period, a cube is equivalent to word[j] == word[j + period]
+    holding at 2*period consecutive positions, so one linear scan per period
+    suffices.
+    """
+    if max_block < 1:
+        raise ValueError(f"max_block must be positive, got {max_block}")
+    n = len(word)
+    for period in range(1, min(max_block, n // 3) + 1):
+        run = 0
+        for j in range(n - period):
+            if word[j] == word[j + period]:
+                run += 1
+                if run >= 2 * period:
+                    return True
+            else:
+                run = 0
+    return False
+
+
+def ordered_p_count_bruteforce(n: int) -> int:
+    """Count ordered (a, b, c), all >= 0, with a+b+c == n and a^b^c == 0.
+
+    c is forced to a^b, so the full (a, b) grid is scanned and the sum tested.
+    """
+    if n < 0:
+        raise ValueError(f"counter total must be non-negative, got {n}")
+    count = 0
+    for a in range(n + 1):
+        for b in range(n + 1):
+            if a + b + (a ^ b) == n:
+                count += 1
+    return count
+
+
+def a128975_bruteforce(n: int) -> int:
+    """Count triples a < b < c, all >= 1, with a+b+c == n and a^b^c == 0.
+
+    Two equal heaps would force the third to zero, so strictly increasing
+    triples are exhaustive for the non-zero-heap count.
+    """
+    if n < 1:
+        raise ValueError(f"a128975 is defined for n >= 1, got {n}")
+    count = 0
+    for a in range(1, n // 3 + 1):
+        for b in range(a + 1, n + 1):
+            c = a ^ b
+            if c > b and a + b + c == n:
+                count += 1
+    return count
+
+
+def a003071_simulate(n: int) -> int:
+    """Comparison total from a round-based merge schedule; must agree with a003071.
+
+    Starts from n single-element lists; each round merges neighbours in pairs
+    (an odd list carries over) and a merge of sizes (p, q) charges p + q - 1.
+    """
+    if n < 1:
+        raise ValueError(f"a003071 is defined for n >= 1, got {n}")
+    sizes = [1] * n
+    total = 0
+    while len(sizes) > 1:
+        merged = []
+        i = 0
+        while i + 1 < len(sizes):
+            p, q = sizes[i], sizes[i + 1]
+            total += p + q - 1
+            merged.append(p + q)
+            i += 2
+        if i < len(sizes):
+            merged.append(sizes[i])
+        sizes = merged
+    return total
+
+
+def a113474_prefix(count: int) -> list[int]:
+    """First `count` terms of a113474 (indices 1..count) by the recursion
+    a(n) = a(n//2) + n//2, a(1) = 1."""
+    values = [0] * (count + 1)
+    if count >= 1:
+        values[1] = 1
+    for i in range(2, count + 1):
+        values[i] = values[i // 2] + i // 2
+    return values[1:]
+
+
+def master_m_recursive(n: int) -> int:
+    """Master sequence bit via the recursion m(2n+1)=0, m(4n)=m(2n), m(4n+2)=1-m(2n)."""
+    if n < 0:
+        raise ValueError(f"master sequence is defined for n >= 0, got {n}")
+    if n == 0:
+        return 1
+    if n & 1:
+        return 0
+    if n % 4 == 0:
+        return master_m_recursive(n // 2)
+    # n = 4j+2: m(n) = 1 - m(2j) and 2j = (n - 2) // 2
+    return 1 - master_m_recursive((n - 2) // 2)
+
+
+def lcm_range(lo: int, hi: int) -> int:
+    """Least common multiple of {lo, ..., hi}; 1 for the empty range (lo > hi)."""
+    if lo > hi:
+        return 1
+    if lo < 1:
+        raise ValueError(f"range elements must be positive, got [{lo}, {hi}]")
+    out = 1
+    for k in range(lo, hi + 1):
+        out = lcm(out, k)
+    return out
+
+
+def quotient_term_is_odd(n: int, r: int) -> bool:
+    """Parity of the single summand lcm(n..n-r+1) // lcm(1..r), without dividing.
+
+    The quotient is odd iff numerator and denominator have equal 2-adic
+    valuation.  v2(lcm(1..r)) is floor(log2 r) -- the exponent of the largest
+    power of two at most r -- and v2 of the window lcm is the largest j for
+    which {n-r+1, ..., n} contains a multiple of 2**j.
+    """
+    if n < 0 or r < 0 or r > n:
+        raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
+    if r == 0:
+        return True  # the empty-window term is 1
+    window_v2 = 0
+    j = 1
+    # the window holds a multiple of 2**j iff floor(n / 2**j) > floor((n-r) / 2**j)
+    while (n >> j) > ((n - r) >> j):
+        window_v2 = j
+        j += 1
+    return window_v2 == r.bit_length() - 1

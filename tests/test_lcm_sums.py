@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqparity.lcm_sums import (
-    a061297,
-    a061297_parity_shortcut,
-    a093431,
-    lcm_range,
-    quotient_term_is_odd,
-    two_adic_valuation,
-)
+from oracles import lcm_range, quotient_term_is_odd
+from seqparity.lcm_sums import a061297, a061297_parity_shortcut, a093431
 from seqparity.parity import master_m
 
 A061297_PREFIX = [1, 2, 4, 8, 14, 32, 39, 114, 166, 266, 421, 1608]
@@ -56,16 +50,6 @@ def test_lcm_range_rejects_nonpositive_elements():
         lcm_range(0, 3)
     with pytest.raises(ValueError):
         lcm_range(-4, -2)
-
-
-@pytest.mark.parametrize("n, expected", [(1, 0), (12, 2), (64, 6)])
-def test_two_adic_valuation_examples(n, expected):
-    assert two_adic_valuation(n) == expected
-
-
-def test_two_adic_valuation_rejects_zero():
-    with pytest.raises(ValueError):
-        two_adic_valuation(0)
 
 
 def test_a061297_prefix():
@@ -117,7 +101,7 @@ def test_valuation_of_initial_lcm_is_floor_log2():
     running = 1
     for r in range(1, 2**12 + 1):
         running = lcm(running, r)
-        assert two_adic_valuation(running) == r.bit_length() - 1
+        assert (running & -running).bit_length() - 1 == r.bit_length() - 1
 
 
 @pytest.mark.parametrize(

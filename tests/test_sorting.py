@@ -1,17 +1,17 @@
 """Merge and insertion sort comparison counts and the halving-recursion chain."""
 
+from itertools import accumulate
+
 import pytest
 
+from oracles import a003071_simulate, a113474_prefix
 from seqparity.parity import master_prefix, thue_morse_bar
 from seqparity.sorting import (
     a001855,
     a003071,
-    a003071_simulate,
     a005187,
     a101925,
     a113474,
-    a113474_prefix,
-    a122248,
     a122248_prefix,
 )
 
@@ -145,12 +145,12 @@ def test_a101925_is_a005187_plus_one():
 
 @pytest.mark.parametrize("n, expected", [(0, 0), (4, 9), (16, 119)])
 def test_a122248_examples(n, expected):
-    assert a122248(n) == expected
+    assert a122248_prefix(n + 1)[n] == expected
 
 
 def test_a122248_prefix_forms_agree():
     assert a122248_prefix(17) == A122248_PREFIX
-    assert [a122248(n) for n in range(17)] == A122248_PREFIX
+    assert list(accumulate(a113474_prefix(16), initial=0)) == A122248_PREFIX
 
 
 def test_a122248_odd_at_odd_indices():
@@ -185,5 +185,3 @@ def test_domain_errors():
         a101925(-1)
     with pytest.raises(ValueError):
         a005187(-1)
-    with pytest.raises(ValueError):
-        a122248(-1)

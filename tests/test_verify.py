@@ -3,6 +3,7 @@
 import pytest
 
 from seqparity.catalogue import (
+    BIGNUM_HEAVY,
     CATALOGUE,
     ParityRelation,
     SequenceDescriptor,
@@ -141,7 +142,7 @@ def test_report_text_contains_status_lines(report):
 
 def test_fits_are_stable_across_ranges():
     for seq in parity_catalogue():
-        if seq.cost_class == "bignum-heavy":
+        if seq.cost_class == BIGNUM_HEAVY:
             continue
         assert fit_relation(seq, 2**10) == fit_relation(seq, 2**12)
 
@@ -201,7 +202,7 @@ def naive_mismatches(parities, offset, rel, n_max):
 
 @pytest.mark.parametrize("seq", parity_catalogue(), ids=lambda d: d.id)
 def test_packed_core_matches_a_naive_scan(seq):
-    n_max = 64 if seq.cost_class == "bignum-heavy" else 300
+    n_max = 64 if seq.cost_class == BIGNUM_HEAVY else 300
     parities = [v & 1 for v in seq.terms(seq.offset, n_max + 1)]
     naive = {rel: naive_mismatches(parities, seq.offset, rel, n_max) for rel in CANDIDATES}
     for rel, bad in naive.items():

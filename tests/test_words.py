@@ -1,4 +1,8 @@
-"""Block morphisms, run lengths, and cube detection on binary words."""
+"""Block morphisms, run lengths, and cube detection on binary words.
+
+The word tools are test oracles; the words themselves come from the catalogue
+and from master_prefix.
+"""
 
 from itertools import groupby
 
@@ -6,15 +10,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqparity.parity import master_word, thue_morse_bar_word, thue_morse_word
-from seqparity.words import (
+from oracles import (
     MASTER_MORPHISM,
     THUE_MORSE_MORPHISM,
     Morphism,
     apply_morphism,
+    as_word,
     has_cube,
     max_run,
 )
+from seqparity.catalogue import CATALOGUE
+from seqparity.parity import master_prefix
 
 binary_words = st.text(alphabet="01", max_size=40)
 
@@ -59,18 +65,20 @@ def test_morphism_rejects_zero_block_length():
 
 
 def test_thue_morse_word_is_morphism_fixed_point():
+    word = as_word(CATALOGUE["A010060"].terms(0, 2**11))
     length = 1
     while length <= 2**10:
-        image = apply_morphism(thue_morse_word(length), THUE_MORSE_MORPHISM)
-        assert image == thue_morse_word(2 * length)
+        image = apply_morphism(word[:length], THUE_MORSE_MORPHISM)
+        assert image == word[: 2 * length]
         length *= 2
 
 
 def test_master_word_is_morphism_fixed_point():
+    word = as_word(master_prefix(2**11))
     length = 2
     while length <= 2**10:
-        image = apply_morphism(master_word(length), MASTER_MORPHISM)
-        assert image == master_word(2 * length)
+        image = apply_morphism(word[:length], MASTER_MORPHISM)
+        assert image == word[: 2 * length]
         length *= 2
 
 
@@ -83,7 +91,7 @@ def test_max_run_examples(word, symbol, expected):
 
 
 def test_max_run_on_master_prefix():
-    word = master_word(32)
+    word = as_word(master_prefix(32))
     assert max_run(word, "1") == 1
     # oracle: longest group of equal symbols
     longest = max(
@@ -110,8 +118,8 @@ def test_has_cube_examples():
 
 
 def test_thue_morse_prefix_is_cube_free():
-    assert has_cube(thue_morse_word(4096), 64) is False
-    assert has_cube(thue_morse_bar_word(4096), 64) is False
+    assert has_cube(as_word(CATALOGUE["A010060"].terms(0, 4096)), 64) is False
+    assert has_cube(as_word(CATALOGUE["A010059"].terms(0, 4096)), 64) is False
 
 
 @given(binary_words, st.integers(min_value=1, max_value=8))
@@ -120,7 +128,7 @@ def test_has_cube_matches_naive_scan(word, max_block):
 
 
 def test_master_word_run_bounds():
-    word = master_word(2**14)
+    word = as_word(master_prefix(2**14))
     assert max_run(word, "0") <= 5
     assert max_run(word, "1") <= 1
     assert "101010" not in word

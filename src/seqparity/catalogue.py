@@ -44,7 +44,7 @@ class SequenceDescriptor:
     """One catalogued sequence: identity, domain, generator, and parity claim.
 
     ``terms(start, stop)`` returns the values at indices ``start .. stop - 1``,
-    for ``offset <= start``.
+    for ``offset <= start``; a start below the offset raises ValueError.
     """
 
     id: str
@@ -68,6 +68,8 @@ def _prefix(fn: Callable[[int], list[int]]) -> Callable[[int, int], list[int]]:
     """Range generator for an offset-0 sequence that is only computed as a prefix."""
 
     def terms(start: int, stop: int) -> list[int]:
+        if start < 0:
+            raise ValueError(f"{fn.__name__} starts at index 0, got start={start}")
         return fn(stop)[start:]
 
     return terms
@@ -153,7 +155,7 @@ _DESCRIPTORS = [
     SequenceDescriptor(
         id="A092524",
         offset=1,
-        terms=_pointwise(digits.a092524),
+        terms=digits.a092524_terms,
         summary="binary digits of n read in base smallest-prime-factor(n)",
         claimed=ParityRelation(shift=1, complement=False),
     ),

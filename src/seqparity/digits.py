@@ -2,43 +2,84 @@
 
 from __future__ import annotations
 
+from array import array
+from math import isqrt
+
 from .parity import thue_morse
+
+#: Primes up to this bound are sieved onto a whole window at once; larger ones,
+#: needed only above its square, are listed and applied one segment at a time.
+_SIEVE_LIMIT = 1 << 16
+
+
+def _primes(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi), for lo >= 2: the entries of their own window left at 0."""
+    if hi <= lo:
+        return []
+    return [n for n, p in zip(range(lo, hi), _spf_window(lo, hi)) if not p]
+
+
+def _spf_window(start: int, stop: int) -> array:
+    """Smallest prime factor of each n in [start, stop), start >= 1, or 0 where
+    n is 1 or prime.
+
+    The primes up to min(sqrt(stop - 1), _SIEVE_LIMIT) are slice-assigned onto
+    their multiples from p*p on, largest prime first, so the smallest prime
+    dividing an entry is the last to write it.  An entry above _SIEVE_LIMIT**2
+    still at 0 may have a larger factor; those few entries are settled by the
+    primes above the limit in increasing order, one segment at a time, and the
+    walk ends as soon as none is left that a larger prime could divide.  Memory
+    is the window plus one segment, however large `stop` is.
+    """
+    width = max(stop - start, 0)
+    spf = array("Q", [0]) * width
+    if width == 0:
+        return spf
+    limit = min(isqrt(stop - 1), _SIEVE_LIMIT)
+    for p in reversed(_primes(2, limit + 1)):
+        first = max(p * p, -(-start // p) * p) - start
+        if first < width:
+            spf[first::p] = array("Q", [p]) * ((width - 1 - first) // p + 1)
+    lo = limit + 1
+    pending = [i for i in range(max(lo * lo - start, 0), width) if not spf[i]]
+    while pending and lo * lo <= start + pending[-1]:
+        hi = min(lo + _SIEVE_LIMIT, isqrt(start + pending[-1]) + 1)
+        for p in _primes(lo, hi):
+            for i in range(max(p * p, -(-start // p) * p) - start, width, p):
+                if not spf[i]:
+                    spf[i] = p
+        pending = [i for i in pending if not spf[i]]
+        lo = hi
+    return spf
 
 
 def smallest_prime_factor(n: int) -> int:
-    """Least prime dividing n (n >= 2), by trial division up to sqrt(n)."""
+    """Least prime dividing n (n >= 2): the one-term window of the sieve behind A092524."""
     if n < 2:
         raise ValueError(f"smallest prime factor requires n >= 2, got {n}")
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
-
-
-def binary_digits(n: int) -> list[int]:
-    """Binary digits of n, least significant first; empty for n = 0."""
-    if n < 0:
-        raise ValueError(f"binary digits require n >= 0, got {n}")
-    bits = []
-    while n:
-        bits.append(n & 1)
-        n >>= 1
-    return bits
+    return _spf_window(n, n + 1)[0] or n
 
 
 def reinterpret_binary(n: int, base: int) -> int:
-    """Read the binary digits of n as digits of a base-`base` numeral."""
+    """Read the binary digits of n as digits of a base-`base` numeral (Horner's rule)."""
+    if n < 0:
+        raise ValueError(f"binary digits require n >= 0, got {n}")
     total = 0
-    power = 1
-    for bit in binary_digits(n):
-        if bit:
-            total += power
-        power *= base
+    for digit in bin(n)[2:]:
+        total *= base
+        if digit == "1":
+            total += 1
     return total
+
+
+def a092524_terms(start: int, stop: int) -> list[int]:
+    """A092524 at n = start .. stop - 1, from one smallest-prime-factor sieve of the window."""
+    if start < 1:
+        raise ValueError(f"a092524 is defined for n >= 1, got {start}")
+    spf = _spf_window(start, stop)
+    # an entry left at 0 is a prime, read in its own base, or n = 1, which
+    # any base reads as 1
+    return [reinterpret_binary(n, p or n) for n, p in zip(range(start, stop), spf)]
 
 
 def a092524(n: int) -> int:
@@ -46,11 +87,7 @@ def a092524(n: int) -> int:
 
     n = 1 has no prime factor; any base reads the single digit "1" as 1.
     """
-    if n < 1:
-        raise ValueError(f"a092524 is defined for n >= 1, got {n}")
-    if n == 1:
-        return 1
-    return reinterpret_binary(n, smallest_prime_factor(n))
+    return a092524_terms(n, n + 1)[0]
 
 
 def a104258(n: int) -> int:

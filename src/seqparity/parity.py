@@ -7,6 +7,8 @@ checked elsewhere in this package is stated against m.
 
 from __future__ import annotations
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
 
 def binary_weight(n: int) -> int:
     """Number of 1-bits in the binary expansion of n."""
@@ -62,5 +64,17 @@ def a228495(n: int) -> int:
 
 
 def master_prefix(length: int) -> list[int]:
-    """First `length` master-sequence bits as a list of ints."""
-    return [master_m(n) for n in range(length)]
+    """First `length` master-sequence bits as a list of ints, built by doubling.
+
+    For a power of two L >= 2, m on [L, 2L) is m on [0, L) with every even
+    position complemented: m(L + 2k) = tbar(L/2 + k) = 1 - tbar(k) for k < L/2.
+    So the bits, packed into one int from m(0), m(1) = 1, 0, double in length
+    with one XOR against the even-position mask, one shift and one OR.
+    """
+    word, size = 0b01, 2
+    while size < length:
+        word |= (word ^ ((1 << size) - 1) // 3) << size
+        size <<= 1
+    length = max(length, 0)
+    digits = bin(word & ((1 << length) - 1))[:1:-1].encode().translate(_BIT_VALUES)
+    return list(digits.ljust(length, b"\0")[:length])

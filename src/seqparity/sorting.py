@@ -15,18 +15,19 @@ def a003071(n: int) -> int:
     fits) with the remainder x = n - 2**k, costing n - 1 comparisons; an exact
     power of two splits into two equal halves instead, which solves to
     a(2**k) = (k-1) * 2**k + 1.  Unrolling the first rule peels one set bit of
-    n per merge.
+    n per merge.  Let the suffixes m of n be n, then n with its top bit
+    cleared, and so on down to lowbit(n), and let k = m.bit_length() - 1.
+    Each suffix adds (k-1) * 2**k + 1, and each but the last a merge cost
+    m - 1.  The 2**k sum to n, so a(n) = 1 - n - lowbit(n) + sum of (m + k * 2**k).
     """
     if n < 1:
         raise ValueError(f"a003071 is defined for n >= 1, got {n}")
-    total = 0
-    while True:
+    total = 1 - n - (n & -n)
+    while n:
         k = n.bit_length() - 1
-        total += ((k - 1) << k) + 1
-        if n == 1 << k:
-            return total
-        total += n - 1
-        n -= 1 << k
+        total += n + (k << k)
+        n ^= 1 << k
+    return total
 
 
 def a001855(n: int) -> int:

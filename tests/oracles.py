@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Mapping
 
+from seqparity.parity import master_m
+
 
 def as_word(bits: Iterable[int]) -> str:
     """The 0/1 string of a sequence of bits, e.g. a prefix from the catalogue."""
@@ -100,6 +102,42 @@ def has_cube(word: str, max_block: int) -> bool:
     return False
 
 
+def smallest_prime_factor_trial(n: int) -> int:
+    """Least prime dividing n (n >= 2), by trial division up to sqrt(n)."""
+    if n < 2:
+        raise ValueError(f"smallest prime factor requires n >= 2, got {n}")
+    if n % 2 == 0:
+        return 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return f
+        f += 2
+    return n
+
+
+def binary_digits(n: int) -> list[int]:
+    """Binary digits of n, least significant first; empty for n = 0."""
+    if n < 0:
+        raise ValueError(f"binary digits require n >= 0, got {n}")
+    bits = []
+    while n:
+        bits.append(n & 1)
+        n >>= 1
+    return bits
+
+
+def reinterpret_binary_by_powers(n: int, base: int) -> int:
+    """The binary digits of n read in base `base`, summing base**i over the set bits i."""
+    total = 0
+    power = 1
+    for bit in binary_digits(n):
+        if bit:
+            total += power
+        power *= base
+    return total
+
+
 def ordered_p_count_bruteforce(n: int) -> int:
     """Count ordered (a, b, c), all >= 0, with a+b+c == n and a^b^c == 0.
 
@@ -165,6 +203,11 @@ def a113474_prefix(count: int) -> list[int]:
     for i in range(2, count + 1):
         values[i] = values[i // 2] + i // 2
     return values[1:]
+
+
+def master_prefix_direct(length: int) -> list[int]:
+    """First `length` master-sequence bits, one direct-form master_m call each."""
+    return [master_m(n) for n in range(length)]
 
 
 def master_m_recursive(n: int) -> int:

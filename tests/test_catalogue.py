@@ -16,3 +16,10 @@ def test_a_window_is_the_tail_of_the_prefix_it_ends(seq_id):
         window = seq.terms(a, b)
         assert len(window) == hi - lo
         assert window == seq.terms(seq.offset, b)[a - seq.offset:], (a, b)
+
+
+@pytest.mark.parametrize("seq_id", sorted(CATALOGUE))
+def test_a_start_below_the_offset_is_rejected(seq_id):
+    seq = CATALOGUE[seq_id]
+    with pytest.raises(ValueError):
+        seq.terms(seq.offset - 1, seq.offset + 4)

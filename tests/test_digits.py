@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import binary_digits, reinterpret_binary_by_powers, smallest_prime_factor_trial
+from seqparity import digits
 from seqparity.digits import (
     a092524,
+    a092524_terms,
     a102393,
     a104258,
-    binary_digits,
     reinterpret_binary,
     smallest_prime_factor,
 )
@@ -41,6 +43,84 @@ def test_binary_digits_round_trip(n):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_reinterpret_in_base_two_is_identity(n):
     assert reinterpret_binary(n, 2) == n
+
+
+@pytest.mark.parametrize("base", range(2, 37))
+def test_reinterpret_agrees_with_int_parsing(base):
+    ns = [*range(2048), 2**40 - 1, 2**40, 10**18 + 12345]
+    assert [reinterpret_binary(n, base) for n in ns] == [int(bin(n)[2:], base) for n in ns]
+
+
+@given(st.integers(min_value=0, max_value=10**18), st.integers(min_value=37, max_value=10**12))
+def test_reinterpret_agrees_with_power_sum_above_base_36(n, base):
+    assert reinterpret_binary(n, base) == reinterpret_binary_by_powers(n, base)
+
+
+def test_reinterpret_rejects_negative_n():
+    with pytest.raises(ValueError, match="n >= 0"):
+        reinterpret_binary(-5, 3)
+
+
+def spf_listing(start, stop):
+    """The window sieve's factors, with its 0 for a prime (or 1) read as n itself."""
+    return [p or n for n, p in zip(range(start, stop), digits._spf_window(start, stop))]
+
+
+def spf_by_trial(start, stop):
+    return [n if n == 1 else smallest_prime_factor_trial(n) for n in range(start, stop)]
+
+
+def test_window_sieve_matches_trial_division_below_2_14():
+    assert spf_listing(1, 2**14) == spf_by_trial(1, 2**14)
+    assert [smallest_prime_factor(n) for n in range(2, 2**14)] == spf_by_trial(2, 2**14)
+    assert a092524_terms(1, 2**14) == [
+        1 if n == 1 else reinterpret_binary_by_powers(n, smallest_prime_factor_trial(n))
+        for n in range(1, 2**14)
+    ]
+
+
+@given(st.integers(min_value=1, max_value=10**7), st.integers(min_value=1, max_value=300))
+def test_window_sieve_matches_trial_division(start, width):
+    assert spf_listing(start, start + width) == spf_by_trial(start, start + width)
+
+
+# squares of primes just below and just above the sieve limit 2**16
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 97, 65521, 65537])
+def test_windows_that_straddle_a_prime_square(p):
+    for lo, hi in [(p * p - 3, p * p + 4), (p * p, p * p + 1), (p * p - 1, p * p)]:
+        lo = max(lo, 1)
+        assert spf_listing(lo, hi) == spf_by_trial(lo, hi), (lo, hi)
+
+
+@pytest.mark.parametrize("start", [1, 2, 3])
+def test_windows_from_the_first_indices(start):
+    for stop in range(start, 40):
+        assert spf_listing(start, stop) == spf_by_trial(start, stop)
+        assert a092524_terms(start, stop) == [a092524(n) for n in range(start, stop)]
+
+
+@pytest.mark.parametrize("limit", [2, 3, 5, 16])
+def test_primes_above_the_sieve_limit_settle_the_rest(monkeypatch, limit):
+    # a small limit sends most of these windows through the segment walk
+    monkeypatch.setattr(digits, "_SIEVE_LIMIT", limit)
+    for start, stop in [(1, 2**12), (2, 3), (289, 290), (4000, 4097), (10**6 - 50, 10**6 + 50)]:
+        assert spf_listing(start, stop) == spf_by_trial(start, stop), (start, stop)
+
+
+def test_window_above_the_square_of_the_sieve_limit():
+    start = 10**12 - 32
+    assert spf_listing(start, start + 64) == spf_by_trial(start, start + 64)
+
+
+def test_huge_n_with_a_small_factor_needs_no_large_sieve():
+    assert smallest_prime_factor(10**30) == 2
+    assert smallest_prime_factor(7 * (10**40 + 1)) == 7
+    assert a092524(2**100) == 2**100
+
+
+def test_a092524_window_rejects_a_start_below_one():
+    with pytest.raises(ValueError, match="n >= 1, got 0"):
+        a092524_terms(0, 5)
 
 
 @pytest.mark.parametrize("n, expected", [(5, 26), (6, 6), (11, 1343)])

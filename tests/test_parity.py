@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import as_word, master_m_recursive
+from oracles import as_word, master_m_recursive, master_prefix_direct
 from seqparity.catalogue import CATALOGUE
 from seqparity.parity import (
     a228495,
@@ -116,6 +116,14 @@ def test_master_examples(n, expected):
 def test_master_prefix_matches_listing():
     assert [master_m(n) for n in range(25)] == MASTER_PREFIX
     assert master_prefix(25) == MASTER_PREFIX
+
+
+def test_master_prefix_doubling_matches_direct_form():
+    for length in range(-2, 300):
+        assert master_prefix(length) == master_prefix_direct(length), length
+    for k in range(9, 18):
+        for length in (2**k - 1, 2**k, 2**k + 1):
+            assert master_prefix(length) == master_prefix_direct(length), length
 
 
 @pytest.mark.parametrize("n, expected", [(0, 1), (10, 1), (12, 1)])

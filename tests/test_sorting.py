@@ -87,6 +87,13 @@ def test_recursion_matches_simulation():
     assert all(a003071(n) == a003071_simulate(n) for n in range(1, 1025))
 
 
+def test_suffix_sum_matches_simulation_beyond_4096():
+    near_powers = [2**k + d for k in range(12, 19) for d in (-1, 0, 1)]
+    stride = range(4097, 2**17, 2**17 // 40 + 1)
+    for n in [*near_powers, *stride]:
+        assert a003071(n) == a003071_simulate(n), n
+
+
 def test_a003071_odd_at_powers_of_two():
     assert all(a003071(2**k) % 2 == 1 for k in range(1, 13))
 

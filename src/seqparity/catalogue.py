@@ -169,7 +169,7 @@ _DESCRIPTORS = [
     SequenceDescriptor(
         id="A061297",
         offset=0,
-        terms=_pointwise(lcm_sums.a061297),
+        terms=lcm_sums.a061297_terms,
         summary="sum of lcm-window quotients, r = 0..n",
         claimed=ParityRelation(shift=0, complement=False),
         cost_class=BIGNUM_HEAVY,
@@ -177,7 +177,7 @@ _DESCRIPTORS = [
     SequenceDescriptor(
         id="A093431",
         offset=1,
-        terms=_pointwise(lcm_sums.a093431),
+        terms=lcm_sums.a093431_terms,
         summary="sum of lcm-window quotients, r = 1..n",
         claimed=ParityRelation(shift=1, complement=True),
         cost_class=BIGNUM_HEAVY,

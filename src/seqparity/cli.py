@@ -182,6 +182,12 @@ def _drop_unwritable_stdout() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # exact terms outgrow the interpreter's int/str conversion limit (4300
+    # digits since 3.11): lift it while the command runs, for writing values
+    # and for reading b-file rows, and give the caller's limit back after
+    int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if int_digits:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -193,6 +199,9 @@ def main(argv: list[str] | None = None) -> int:
         _drop_unwritable_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if int_digits:
+            sys.set_int_max_str_digits(int_digits)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from seqparity import oeis
 from seqparity.catalogue import CATALOGUE, parity_catalogue
 from seqparity.cli import main
+from seqparity.lcm_sums import a061297
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +182,68 @@ def test_check_bfile_detects_corruption(capsys, tmp_path):
     )
     assert code == 1
     assert "4 expected 15 got 14" in out
+
+
+HAS_INT_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
+
+
+@contextlib.contextmanager
+def no_int_digit_limit():
+    """Lift the interpreter's int/str conversion limit, where it has one."""
+    if not HAS_INT_DIGIT_LIMIT:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "bfile", "json"])
+def test_gen_prints_terms_beyond_the_int_digit_limit(capsys, fmt):
+    # a061297(19700) has 4310 decimal digits, above the default limit of 4300
+    code, out, err = run_cli(
+        capsys, "gen", "A061297", "--from", "19700", "--count", "1", "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    with no_int_digit_limit():
+        expected = str(a061297(19700))
+        assert len(expected) > 4300
+        if fmt == "plain":
+            assert out == f"{expected}\n"
+        elif fmt == "bfile":
+            assert out == f"19700 {expected}\n"
+        else:
+            assert json.loads(out) == {
+                "id": "A061297", "from": 19700, "count": 1, "terms": [int(expected)],
+            }
+
+
+def test_check_bfile_reads_values_beyond_the_int_digit_limit(capsys, tmp_path):
+    table = tmp_path / "b061297.txt"
+    table.write_text("0 " + "1" * 5000 + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "check-bfile", "A061297", "--file", str(table))
+    assert "non-integer" not in err
+    assert (code, err) == (1, "")
+    assert out == "0 expected " + "1" * 5000 + " got 1\nA061297: checked 1 terms, 1 mismatches\n"
+
+
+@pytest.mark.skipif(not HAS_INT_DIGIT_LIMIT, reason="no int/str conversion limit")
+@pytest.mark.parametrize("argv", [
+    ["gen", "A061297", "--from", "19700", "--count", "1"],
+    ["gen", "A999999"],
+    ["check-bfile", "A010060", "--file", "no-such-b-file.txt"],
+])
+def test_main_restores_the_callers_int_digit_limit(argv):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        main(argv)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_check_bfile_unknown_id(capsys):

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lcm_range, quotient_term_is_odd
-from seqparity.lcm_sums import a061297, a061297_parity_shortcut, a093431
+from seqparity.lcm_sums import (
+    a061297,
+    a061297_parity_shortcut,
+    a061297_terms,
+    a093431,
+    a093431_terms,
+)
 from seqparity.parity import master_m
 
 A061297_PREFIX = [1, 2, 4, 8, 14, 32, 39, 114, 166, 266, 421, 1608]
@@ -75,6 +81,45 @@ def test_a061297_matches_lcm_chain_sum_at_prime_power_boundaries(n):
 @given(st.integers(min_value=0, max_value=1500))
 def test_a061297_matches_lcm_chain_sum_sampled(n):
     assert a061297(n) == lcm_chain_sum(n)
+
+
+def test_a061297_terms_match_lcm_chain_sum_on_every_small_window():
+    expected = [lcm_chain_sum(n) for n in range(64)]
+    for start in range(65):
+        for stop in range(start, 65):
+            assert a061297_terms(start, stop) == expected[start:stop]
+
+
+@pytest.mark.parametrize("n", PRIME_POWER_BOUNDARIES)
+def test_a061297_terms_match_lcm_chain_sum_across_prime_power_boundaries(n):
+    for start, stop in [(n - 3, n + 4), (n, n + 1), (n - 1, n + 1), (n, n + 2)]:
+        assert a061297_terms(start, stop) == [lcm_chain_sum(k) for k in range(start, stop)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2000), st.integers(min_value=0, max_value=24))
+def test_a061297_terms_match_lcm_chain_sum_sampled(start, width):
+    stop = start + width
+    assert a061297_terms(start, stop) == [lcm_chain_sum(n) for n in range(start, stop)]
+
+
+def test_a061297_terms_reject_a_negative_start():
+    with pytest.raises(ValueError):
+        a061297_terms(-1, 3)
+    with pytest.raises(ValueError):
+        a061297(-1)
+
+
+@pytest.mark.parametrize("start, stop", [(1, 1), (1, 2), (1, 40), (7, 12), (120, 131), (1020, 1030)])
+def test_a093431_terms_match_lcm_chain_sum_less_one(start, stop):
+    assert a093431_terms(start, stop) == [lcm_chain_sum(n) - 1 for n in range(start, stop)]
+
+
+def test_a093431_terms_reject_start_zero():
+    with pytest.raises(ValueError):
+        a093431_terms(0, 5)
+    with pytest.raises(ValueError):
+        a093431(0)
 
 
 def test_a093431_prefix():
@@ -147,7 +192,8 @@ def test_parity_shortcut_examples(n, expected):
 
 
 def test_parity_shortcut_matches_exact_sum():
-    assert all(a061297(n) % 2 == a061297_parity_shortcut(n) for n in range(2049))
+    exact = a061297_terms(0, 2049)
+    assert all(exact[n] % 2 == a061297_parity_shortcut(n) for n in range(2049))
 
 
 def test_parity_shortcut_follows_master_sequence():

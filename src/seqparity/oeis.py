@@ -77,7 +77,8 @@ def bfile_url(sequence_id: str) -> str:
 def parse_bfile(text: str, sequence_id: str = "") -> BFileTable:
     """Parse b-file text; blank lines and '#' comments are skipped.
 
-    Text with no rows (empty, or only comments) is not a b-file.
+    A row is two ASCII decimal integers, each `-?[0-9]+`, separated by
+    whitespace.  Text with no rows (empty, or only comments) is not a b-file.
     """
     rows: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -90,6 +91,10 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFileTable:
                 f"line {lineno}: expected '<index> <value>', got {raw!r}"
             )
         try:
+            # int() also takes '+1', '1_0' and non-ASCII digits; with those
+            # ruled out it takes exactly -?[0-9]+, and it raises on the rest
+            if not line.isascii() or "_" in line or "+" in line:
+                raise ValueError
             index, value = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise BFileFormatError(

@@ -267,6 +267,23 @@ def test_check_bfile_invalid_file(capsys, tmp_path):
     assert "gap" in err
 
 
+@pytest.mark.parametrize(
+    "position, row",
+    [(10, "1_0 0"), (1, "1 +1"), (1, "\u0661 1")],
+    ids=["underscore", "plus", "arabic"],
+)
+def test_check_bfile_rejects_a_token_that_is_not_ascii_decimal(capsys, tmp_path, position, row):
+    # int() reads the row as the A010060 term it replaces, so only the
+    # token check stands between the file and "0 mismatches"
+    rows = [f"{n} {n.bit_count() & 1}" for n in range(11)]
+    rows[position] = row
+    bad = tmp_path / "b010060.txt"
+    bad.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "check-bfile", "A010060", "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: line {position + 1}: non-integer token in {row!r}\n"
+
+
 def test_check_bfile_offset_mismatch_is_a_failure(capsys, tmp_path):
     shifted = tmp_path / "table.txt"
     shifted.write_text("3 8\n4 14\n", encoding="utf-8")

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lcm_range, quotient_term_is_odd
+from seqparity import lcm_sums
 from seqparity.lcm_sums import (
+    _a061297_window,
     a061297,
     a061297_parity_shortcut,
     a061297_terms,
@@ -15,6 +17,7 @@ from seqparity.lcm_sums import (
     a093431_terms,
 )
 from seqparity.parity import master_m
+from seqparity.verify import verify_all
 
 A061297_PREFIX = [1, 2, 4, 8, 14, 32, 39, 114, 166, 266, 421, 1608]
 A093431_PREFIX = [1, 3, 7, 13, 31, 38, 113, 165, 265, 420, 1607, 1004]
@@ -42,6 +45,25 @@ def lcm_chain_sum(n: int) -> int:
     return sum(lcm_chain_terms(n))
 
 
+def walked(n: int) -> int:
+    """a061297(n) as the stateless kernel computes it, never from a kept window."""
+    return _a061297_window(n, n + 1)[0]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Empty the kept window and record each (start, stop) the kernel walks."""
+    calls = []
+
+    def counted(start, stop):
+        calls.append((start, stop))
+        return _a061297_window(start, stop)
+
+    monkeypatch.setattr(lcm_sums, "_kept", lcm_sums._NO_WINDOW)
+    monkeypatch.setattr(lcm_sums, "_a061297_window", counted)
+    return calls
+
+
 # n at, just below and just above prime powers: 2**7, 3**5, 31**2, 2**10, 11**3, 2**11
 PRIME_POWER_BOUNDARIES = [127, 128, 243, 960, 961, 1023, 1024, 1025, 1330, 1331, 2047, 2048]
 
@@ -65,42 +87,42 @@ def test_a061297_prefix():
 def test_a061297_term_breakdown_at_four():
     assert [exact_term(4, r) for r in range(5)] == [1, 4, 6, 2, 1]
     assert list(lcm_chain_terms(4)) == [1, 4, 6, 2, 1]
-    assert a061297(4) == lcm_chain_sum(4) == 14
+    assert a061297(4) == walked(4) == lcm_chain_sum(4) == 14
 
 
 def test_a061297_matches_lcm_chain_sum():
-    assert all(a061297(n) == lcm_chain_sum(n) for n in range(600))
+    assert all(walked(n) == lcm_chain_sum(n) for n in range(600))
 
 
 @pytest.mark.parametrize("n", PRIME_POWER_BOUNDARIES)
 def test_a061297_matches_lcm_chain_sum_at_prime_power_boundaries(n):
-    assert a061297(n) == lcm_chain_sum(n)
+    assert walked(n) == lcm_chain_sum(n)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=1500))
 def test_a061297_matches_lcm_chain_sum_sampled(n):
-    assert a061297(n) == lcm_chain_sum(n)
+    assert walked(n) == lcm_chain_sum(n)
 
 
 def test_a061297_terms_match_lcm_chain_sum_on_every_small_window():
     expected = [lcm_chain_sum(n) for n in range(64)]
     for start in range(65):
         for stop in range(start, 65):
-            assert a061297_terms(start, stop) == expected[start:stop]
+            assert _a061297_window(start, stop) == expected[start:stop]
 
 
 @pytest.mark.parametrize("n", PRIME_POWER_BOUNDARIES)
 def test_a061297_terms_match_lcm_chain_sum_across_prime_power_boundaries(n):
     for start, stop in [(n - 3, n + 4), (n, n + 1), (n - 1, n + 1), (n, n + 2)]:
-        assert a061297_terms(start, stop) == [lcm_chain_sum(k) for k in range(start, stop)]
+        assert _a061297_window(start, stop) == [lcm_chain_sum(k) for k in range(start, stop)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2000), st.integers(min_value=0, max_value=24))
 def test_a061297_terms_match_lcm_chain_sum_sampled(start, width):
     stop = start + width
-    assert a061297_terms(start, stop) == [lcm_chain_sum(n) for n in range(start, stop)]
+    assert _a061297_window(start, stop) == [lcm_chain_sum(n) for n in range(start, stop)]
 
 
 def test_a061297_terms_reject_a_negative_start():
@@ -108,6 +130,66 @@ def test_a061297_terms_reject_a_negative_start():
         a061297_terms(-1, 3)
     with pytest.raises(ValueError):
         a061297(-1)
+
+
+def test_a061297_terms_slice_a_contained_window_from_the_kept_one(kernel_calls):
+    for start, stop in [(0, 200), (0, 200), (0, 200), (50, 120), (0, 200), (199, 200)]:
+        assert a061297_terms(start, stop) == _a061297_window(start, stop)
+    assert kernel_calls == [(0, 200), (0, 200), (0, 200)]
+
+
+def test_a061297_terms_hand_the_kept_window_to_the_call_served_from_it(kernel_calls):
+    a061297_terms(0, 200)
+    assert a061297(150) == lcm_chain_sum(150)
+    assert lcm_sums._kept == lcm_sums._NO_WINDOW
+    assert a061297_terms(60, 70) == [lcm_chain_sum(n) for n in range(60, 70)]
+    assert a061297_terms(7, 7) == []  # an empty range keeps the window
+    assert a061297_terms(61, 63) == [lcm_chain_sum(n) for n in range(61, 63)]
+    assert kernel_calls == [(0, 200), (60, 70)]
+
+
+def test_a061297_terms_return_a_fresh_list(kernel_calls):
+    first = a061297_terms(10, 40)
+    expected = [lcm_chain_sum(n) for n in range(10, 40)]
+    assert first == expected
+    first[:] = [0]
+    part = a061297_terms(20, 30)
+    assert part == expected[10:20]
+    part.append(-1)
+    assert a061297_terms(20, 30) == expected[10:20]
+    assert kernel_calls == [(10, 40), (20, 30)]
+
+
+def test_a061297_terms_walk_and_keep_a_window_that_is_not_contained(kernel_calls):
+    a061297_terms(0, 100)
+    assert a061297_terms(90, 110) == [lcm_chain_sum(n) for n in range(90, 110)]
+    assert lcm_sums._kept[:2] == (90, 110)
+    assert a061297_terms(95, 105) == [lcm_chain_sum(n) for n in range(95, 105)]
+    assert kernel_calls == [(0, 100), (90, 110)]
+
+
+def test_a061297_terms_check_the_start_before_the_kept_window(monkeypatch):
+    monkeypatch.setattr(lcm_sums, "_kept", (-5, 5, tuple(range(10))))
+    with pytest.raises(ValueError):
+        a061297_terms(-1, 2)
+    with pytest.raises(ValueError):
+        a061297(-1)
+
+
+@pytest.mark.parametrize("start, stop", [(1, 131), (1, 2), (120, 131), (64, 65)])
+def test_a093431_terms_are_sliced_from_the_kept_a061297_window(kernel_calls, start, stop):
+    a061297_terms(0, 131)
+    assert a093431_terms(start, stop) == [lcm_chain_sum(n) - 1 for n in range(start, stop)]
+    a061297_terms(0, 131)
+    assert a093431(100) == lcm_chain_sum(100) - 1
+    assert kernel_calls == [(0, 131), (0, 131)]
+
+
+def test_verify_all_walks_the_lcm_sums_once_and_keeps_no_window(kernel_calls):
+    report = verify_all(64, 200)
+    assert {check.sequence_id for check in report.checks} >= {"A061297", "A093431"}
+    assert kernel_calls == [(0, 201)]
+    assert lcm_sums._kept == lcm_sums._NO_WINDOW
 
 
 @pytest.mark.parametrize("start, stop", [(1, 1), (1, 2), (1, 40), (7, 12), (120, 131), (1020, 1030)])
@@ -192,7 +274,7 @@ def test_parity_shortcut_examples(n, expected):
 
 
 def test_parity_shortcut_matches_exact_sum():
-    exact = a061297_terms(0, 2049)
+    exact = _a061297_window(0, 2049)
     assert all(exact[n] % 2 == a061297_parity_shortcut(n) for n in range(2049))
 
 

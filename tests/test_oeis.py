@@ -60,6 +60,27 @@ def test_parse_rejects_non_integers():
         parse_bfile("1 x\n")
 
 
+# int() reads each of these, but none is an ASCII decimal integer -?[0-9]+
+NON_DECIMAL_ROWS = ["1_0 0", "1 +1", "+1 1", "\u0661 1", "1 \uff11", "1 1_0", "-1_0 0"]
+
+
+@pytest.mark.parametrize("row", NON_DECIMAL_ROWS)
+def test_parse_rejects_tokens_that_are_not_ascii_decimal(row):
+    with pytest.raises(BFileFormatError, match=r"^line 2: non-integer token in "):
+        parse_bfile(f"0 0\n{row}\n")
+
+
+def test_parse_keeps_comments_free_form_and_reads_negative_indices():
+    table = parse_bfile("# a_1 = +1, \u0661\n-1 10\n0 0\n")
+    assert table.rows == ((-1, 10), (0, 0))
+
+
+def test_fetch_online_never_caches_a_non_decimal_download(tmp_path, monkeypatch):
+    monkeypatch.setattr(oeis, "_download", lambda url, timeout: "0 1\n1 +2\n")
+    assert fetch_bfile("A061297", tmp_path, offline=False) == fixture_table("A061297")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "text", ["", "\n\n", "# header only\n#\n"], ids=["empty", "blank", "comments"]
 )

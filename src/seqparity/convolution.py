@@ -6,14 +6,14 @@ a029886(n) = a247303(n) + 4 * #{odious k <= n}, so the two agree mod 4.  Their
 parity is m: the terms i and n-i of a247303's sum are equal and cancel mod 2 in
 pairs, leaving the middle term tbar(n/2) = m(n) for even n and none for odd n.
 
-A prefix of `count` terms is one big-integer square (Kronecker substitution):
-tbar(i) goes into byte slot i of a little-endian integer, each slot `width` =
-ceil(count.bit_length() / 8) bytes wide.  A coefficient of the square is a sum
-of at most `count` products of 0/1 bits, so it fits its slot and no carry
-crosses into the next one; term n is then the bytes of slot n.  The terms are
-read by slicing `to_bytes` output, because shifting the square right once per
-term copies it each time and makes extraction quadratic again.  The scalar
-`a247303(n)` sums the products directly and is the independent route.
+A prefix is built by halving.  With s(k) = (-1)^t(k), tbar = (1 + s)/2 gives
+4a(n) = (n+1) + 2S(n) + c(n), where S(n) is the running sum of s and c(n) is
+the coefficient of x^n in P^2 for P(x) = sum of s(n) x^n.  P(x) = (1-x) P(x^2)
+makes P^2 = (1-x)^2 P(x^2)^2, so c(2k) = c(k) + c(k-1) and c(2k+1) = -2c(k).
+S(n) is s(n) at even n and 0 at odd n, as s(2j+1) = -s(2j).  Putting
+c(k) = 4a(k) - (k+1) - 2S(k) back in, with a(0) = 1 and a(1) = 0:
+    a(2k)   = a(k) + a(k-1) + [k odd] s(k)
+    a(2k+1) = k + 1 - 2a(k) + [k even] s(k)
 """
 
 from __future__ import annotations
@@ -35,22 +35,21 @@ def _odious_count(n: int) -> int:
 
 def a247303_prefix(count: int) -> list[int]:
     """First `count` terms of the self-convolution of the negated Thue-Morse sequence."""
-    width = (count.bit_length() + 7) // 8
-    slots = bytearray(count * width)
-    for i in range(count):
-        slots[i * width] = thue_morse_bar(i)
-    square = (int.from_bytes(slots, "little") ** 2).to_bytes(2 * len(slots), "little")
-    return [
-        int.from_bytes(square[n * width:(n + 1) * width], "little") for n in range(count)
-    ]
+    if count <= 0:
+        return []
+    terms = [1, 0]
+    for k in range(1, (count + 1) // 2):
+        s, odd = 1 - 2 * thue_morse(k), k & 1
+        terms.append(terms[k] + terms[k - 1] + odd * s)
+        terms.append(k + 1 - 2 * terms[k] + (1 - odd) * s)
+    return terms[:count]
 
 
 def a247303(n: int) -> int:
     """Self-convolution of tbar at index n: sum of tbar(i) * tbar(n-i)."""
     if n < 0:
         raise ValueError(f"a247303 is defined for n >= 0, got {n}")
-    bits = [thue_morse_bar(i) for i in range(n + 1)]
-    return sum(x * y for x, y in zip(bits, reversed(bits)))
+    return a247303_prefix(n + 1)[n]
 
 
 def a029886_prefix(count: int) -> list[int]:
@@ -65,4 +64,4 @@ def a029886(n: int) -> int:
     """Self-convolution of a001285 at index n, as a247303(n) + 4 * #{odious k <= n}."""
     if n < 0:
         raise ValueError(f"a029886 is defined for n >= 0, got {n}")
-    return a247303(n) + 4 * _odious_count(n)
+    return a029886_prefix(n + 1)[n]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Mapping
 
-from seqparity.parity import master_m
+from seqparity.parity import master_m, thue_morse_bar
 
 
 def as_word(bits: Iterable[int]) -> str:
@@ -203,6 +203,14 @@ def a113474_prefix(count: int) -> list[int]:
     for i in range(2, count + 1):
         values[i] = values[i // 2] + i // 2
     return values[1:]
+
+
+def a247303_direct(n: int) -> int:
+    """Self-convolution of tbar at index n, as the literal sum of tbar(i) * tbar(n-i)."""
+    if n < 0:
+        raise ValueError(f"a247303 is defined for n >= 0, got {n}")
+    bits = [thue_morse_bar(i) for i in range(n + 1)]
+    return sum(x * y for x, y in zip(bits, reversed(bits)))
 
 
 def master_prefix_direct(length: int) -> list[int]:

@@ -23,3 +23,10 @@ def test_a_start_below_the_offset_is_rejected(seq_id):
     seq = CATALOGUE[seq_id]
     with pytest.raises(ValueError):
         seq.terms(seq.offset - 1, seq.offset + 4)
+
+
+@pytest.mark.parametrize("seq_id", sorted(CATALOGUE))
+def test_a_reversed_window_is_empty(seq_id):
+    seq = CATALOGUE[seq_id]
+    for lo, hi in [(0, -1), (0, -3), (5, 2)]:
+        assert seq.terms(seq.offset + lo, seq.offset + hi) == [], (lo, hi)

@@ -1,7 +1,10 @@
 """Self-convolutions of Thue-Morse variants and their shared parity."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import a247303_direct
 from seqparity.convolution import (
     _odious_count,
     a001285,
@@ -67,18 +70,47 @@ def test_a247303_convolution_window_sums(conv247303):
 
 
 def test_a247303_prefix_matches_scalar_sum():
-    # the slot width steps from 1 to 2 bytes at count 256
+    # every term past index 1 comes from the halving rules, so 600 terms run
+    # both rules at both parities of k on every level up to k = 299
     prefix = a247303_prefix(600)
-    assert prefix == [a247303(n) for n in range(600)]
+    assert prefix == [a247303_direct(n) for n in range(600)]
 
 
 @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 65536])
 def test_a247303_prefix_slot_width_boundaries(count):
-    # 255 and 256 take 1- and 2-byte slots, 65536 takes 3-byte slots
+    # 0 and 1 stop before the recurrence; an odd count cuts the odd half off the
+    # last pair of terms it builds, an even count keeps it
     prefix = a247303_prefix(count)
     assert len(prefix) == count
     for n in {0, 1, count // 2, count - 1} & set(range(count)):
-        assert prefix[n] == a247303(n)
+        assert prefix[n] == a247303_direct(n)
+
+
+def test_a247303_prefix_matches_direct_sum_below_1024():
+    prefix = a247303_prefix(1024)
+    assert prefix == [a247303_direct(n) for n in range(1024)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**15))
+def test_a247303_prefix_matches_direct_sum_at_drawn_n(n):
+    assert a247303_prefix(n + 1)[n] == a247303_direct(n) == a247303(n)
+
+
+def test_a247303_stretched_range_pin():
+    # values from the big-integer square the recurrence replaced
+    prefix = a247303_prefix(2**20 + 1)
+    assert prefix[2**20] == 174762
+    assert prefix[2**20 - 1] == 524288
+    assert sum(prefix) == 137439390378
+    assert a247303(999999) == 264096
+    assert a029886(999999) == 2264096
+
+
+@pytest.mark.parametrize("fn", [a247303, a029886])
+def test_negative_index_is_rejected(fn):
+    with pytest.raises(ValueError, match="defined for n >= 0"):
+        fn(-1)
 
 
 def test_a029886_convolution_window_sums(conv029886):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from math import isqrt
 
 from .parity import thue_morse
@@ -13,10 +14,16 @@ _SIEVE_LIMIT = 1 << 16
 
 
 def _primes(lo: int, hi: int) -> list[int]:
-    """The primes in [lo, hi), for lo >= 2: the entries of their own window left at 0."""
+    """The primes in [lo, hi), for lo >= 2: a bytearray sieve of Eratosthenes
+    over the segment, struck by the primes up to sqrt(hi - 1) from p*p on."""
     if hi <= lo:
         return []
-    return [n for n, p in zip(range(lo, hi), _spf_window(lo, hi)) if not p]
+    width = hi - lo
+    sieve = bytearray([1]) * width
+    for p in _primes(2, isqrt(hi - 1) + 1):
+        first = max(p * p, -(-lo // p) * p) - lo
+        sieve[first::p] = bytes(len(range(first, width, p)))
+    return list(compress(range(lo, hi), sieve))
 
 
 def _spf_window(start: int, stop: int) -> array:

@@ -7,8 +7,8 @@ summand is an exact integer.  The sum is taken in its prime-power event form:
 q_r changes only where a prime power enters the window or the base, so the
 walk does about two small multiply/divide steps per prime power up to n and
 adds each run of equal summands at once.  A range of n shares one list of the
-primes (the sieve behind A092524) and one table of prime powers; the prime
-powers up to each n are a prefix of it.
+primes, from the package's one bytearray sieve `digits._primes`, and one table
+of prime powers; the prime powers up to each n are a prefix of it.
 
 The module keeps the last window it walked until one call is served from it:
 a range that lies inside the kept window is sliced from it and takes it, so
@@ -110,10 +110,8 @@ def a093431_terms(start: int, stop: int) -> list[int]:
 
 
 def a093431(n: int) -> int:
-    """Same sum as a061297 but starting at r = 1; the r = 0 summand is 1."""
-    if n < 1:
-        raise ValueError(f"a093431 is defined for n >= 1, got {n}")
-    return a061297(n) - 1
+    """Same sum as a061297 but starting at r = 1: the one-term window of a093431_terms."""
+    return a093431_terms(n, n + 1)[0]
 
 
 def a061297_parity_shortcut(n: int) -> int:

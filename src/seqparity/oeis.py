@@ -77,19 +77,22 @@ def bfile_url(sequence_id: str) -> str:
 def parse_bfile(text: str, sequence_id: str = "") -> BFileTable:
     """Parse b-file text; blank lines and '#' comments are skipped.
 
-    A row is two ASCII decimal integers, each `-?[0-9]+`, separated by
-    whitespace.  Text with no rows (empty, or only comments) is not a b-file.
+    Lines end at a line feed only, less one trailing carriage return, so a
+    comment may hold any other character.  A row is two ASCII decimal integers,
+    each `-?[0-9]+`, separated by spaces or tabs.  Text with no rows (empty, or
+    only comments) is not a b-file.
     """
     rows: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # tokens may stand apart only by spaces and tabs; a text with no other
+    # ASCII whitespace in it needs no check of its rows for that
+    odd_spaces = any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e\x1f")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
         if len(tokens) != 2:
-            raise BFileFormatError(
-                f"line {lineno}: expected '<index> <value>', got {raw!r}"
-            )
+            raise _row_error(lineno, raw, "expected '<index> <value>', got")
         try:
             # int() also takes '+1', '1_0' and non-ASCII digits; with those
             # ruled out it takes exactly -?[0-9]+, and it raises on the rest
@@ -97,11 +100,19 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFileTable:
                 raise ValueError
             index, value = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise BFileFormatError(
-                f"line {lineno}: non-integer token in {raw!r}"
-            ) from None
+            raise _row_error(lineno, raw, "non-integer token in") from None
+        # the tokens are ASCII decimals, so an unprintable character other
+        # than a tab is whitespace between them that is not a space or a tab
+        if odd_spaces and not line.replace("\t", " ").isprintable():
+            raise _row_error(lineno, raw, "expected '<index> <value>', got")
         rows.append((index, value))
     return BFileTable(sequence_id=sequence_id, rows=tuple(rows))
+
+
+def _row_error(lineno: int, raw: str, problem: str) -> BFileFormatError:
+    """The error for a bad row, quoting its line less the CR of a CRLF line end."""
+    quoted = raw.removesuffix("\r")
+    return BFileFormatError(f"line {lineno}: {problem} {quoted!r}")
 
 
 def serialize_bfile(table: BFileTable) -> str:

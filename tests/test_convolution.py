@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from oracles import a247303_direct
 from seqparity.convolution import (
-    _odious_count,
     a001285,
     a029886,
     a029886_prefix,
@@ -116,17 +115,23 @@ def test_negative_index_is_rejected(fn):
 def test_a029886_convolution_window_sums(conv029886):
     # both routes derive a029886 from a247303 by an identity, so this literal
     # sum of (2 - tbar(i)) * (2 - tbar(n - i)) is their independent check
-    ones_twos = [2 - thue_morse_bar(i) for i in range(RANGE + 1)]
-    for n in (0, 1, 17, 64, 100, 4095, 8192):
+    ones_twos = [2 - thue_morse_bar(i) for i in range(2**18)]
+    for n in (0, 1, 17, 64, 100, 4095, 8192, 65535, 65536):
         window = [ones_twos[i] * ones_twos[n - i] for i in range(n + 1)]
         assert sum(window) == conv029886[n] == a029886(n)
+    prefix = a029886_prefix(2**18)
+    for n in (2**18 - 2, 2**18 - 1):
+        window = [ones_twos[i] * ones_twos[n - i] for i in range(n + 1)]
+        assert sum(window) == prefix[n] == a029886(n)
 
 
 def test_odious_count_closed_form():
+    # a029886 - a247303 is four times the count of odious k <= n
     running = 0
-    for n in range(3000):
+    differences = zip(a029886_prefix(3000), a247303_prefix(3000))
+    for n, (a029886_n, a247303_n) in enumerate(differences):
         running += thue_morse(n)
-        assert _odious_count(n) == running
+        assert a029886_n - a247303_n == 4 * running
 
 
 def test_a247303_even_at_odd_indices(conv247303):

@@ -99,6 +99,29 @@ def test_windows_from_the_first_indices(start):
         assert a092524_terms(start, stop) == [a092524(n) for n in range(start, stop)]
 
 
+def primes_by_trial(lo, hi):
+    return [n for n in range(lo, hi) if smallest_prime_factor_trial(n) == n]
+
+
+@pytest.mark.parametrize("lo", [2, 3, 4, 5, 6])
+def test_prime_segments_from_the_first_numbers(lo):
+    # every hi up to 40, so the segments with hi <= 5 and the empty ones too
+    for hi in range(41):
+        assert digits._primes(lo, hi) == primes_by_trial(lo, hi), (lo, hi)
+
+
+# squares of the primes on either side of 2**16
+@pytest.mark.parametrize("p", [65521, 65537])
+def test_prime_segments_that_straddle_a_prime_square(p):
+    for lo, hi in [(p * p - 40, p * p + 41), (p * p, p * p + 1), (p * p - 1, p * p)]:
+        assert digits._primes(lo, hi) == primes_by_trial(lo, hi), (lo, hi)
+
+
+@given(st.integers(min_value=3, max_value=10**7), st.integers(min_value=0, max_value=300))
+def test_prime_segments_match_trial_division(lo, width):
+    assert digits._primes(lo, lo + width) == primes_by_trial(lo, lo + width)
+
+
 @pytest.mark.parametrize("limit", [2, 3, 5, 16])
 def test_primes_above_the_sieve_limit_settle_the_rest(monkeypatch, limit):
     # a small limit sends most of these windows through the segment walk

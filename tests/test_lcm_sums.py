@@ -200,7 +200,7 @@ def test_a093431_terms_match_lcm_chain_sum_less_one(start, stop):
 def test_a093431_terms_reject_start_zero():
     with pytest.raises(ValueError):
         a093431_terms(0, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^a093431 is defined for n >= 1, got 0$"):
         a093431(0)
 
 

@@ -38,6 +38,8 @@ def tables(draw):
 def test_parse_simple_table():
     table = parse_bfile("0 1\n1 0\n2 0\n")
     assert table.rows == ((0, 1), (1, 0), (2, 0))
+    # a CRLF line end and tab separators read the same
+    assert parse_bfile("0 1\r\n1\t0\r\n2 \t 0").rows == table.rows
 
 
 def test_parse_skips_comments_and_blank_lines():
@@ -53,11 +55,21 @@ def test_parse_rejects_index_gap():
 def test_parse_rejects_extra_tokens():
     with pytest.raises(BFileFormatError, match="expected"):
         parse_bfile("1 1 9\n")
+    # rows are split at spaces and tabs only, and lines at "\n" only
+    for text in ["0\x1f1\n", "0 1\u20281 2\n", "0 1\r1 2\r\n", "0\x0b1\n"]:
+        with pytest.raises(BFileFormatError, match=r"^line 1: expected '<index> <value>', got "):
+            parse_bfile(text)
 
 
 def test_parse_rejects_non_integers():
     with pytest.raises(BFileFormatError, match="non-integer"):
         parse_bfile("1 x\n")
+    # a form feed inside a comment does not start a new line
+    with pytest.raises(BFileFormatError, match=r"^line 3: non-integer token in '1 x'$"):
+        parse_bfile("# page\x0cbreak\n0 1\n1 x\n")
+    # the CR of a CRLF line end is not quoted
+    with pytest.raises(BFileFormatError, match=r"^line 2: non-integer token in '1 x'$"):
+        parse_bfile("0 1\r\n1 x\r\n")
 
 
 # int() reads each of these, but none is an ASCII decimal integer -?[0-9]+
@@ -73,6 +85,12 @@ def test_parse_rejects_tokens_that_are_not_ascii_decimal(row):
 def test_parse_keeps_comments_free_form_and_reads_negative_indices():
     table = parse_bfile("# a_1 = +1, \u0661\n-1 10\n0 0\n")
     assert table.rows == ((-1, 10), (0, 0))
+    # characters str.splitlines() breaks at stay inside the comment
+    breaks = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\r"
+    comment = "# " + " x ".join(breaks) + " 1 2\n"
+    assert parse_bfile(comment + "-1 10\n0 0\n").rows == ((-1, 10), (0, 0))
+    with pytest.raises(BFileFormatError, match=r"^line 3: non-integer token in '1 x'$"):
+        parse_bfile(comment + "0 1\n1 x\n")
 
 
 def test_fetch_online_never_caches_a_non_decimal_download(tmp_path, monkeypatch):

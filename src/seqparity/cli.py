@@ -24,8 +24,7 @@ def _emit_terms(seq_id: str, start: int, values: list[int], fmt: str) -> None:
     if fmt == "plain":
         sys.stdout.write("".join(f"{v}\n" for v in values))
     elif fmt == "bfile":
-        table = oeis.BFileTable(seq_id, tuple(enumerate(values, start)))
-        sys.stdout.write(oeis.serialize_bfile(table))
+        sys.stdout.write(oeis.serialize_bfile(oeis.BFileTable(seq_id, start, tuple(values))))
     else:
         record = {"id": seq_id, "from": start, "count": len(values), "terms": values}
         sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
@@ -72,19 +71,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.all_fitted() else 1
 
 
-def _load_table(args: argparse.Namespace) -> oeis.BFileTable:
-    if args.file is None:
-        return oeis.fixture_table(args.id)
-    if args.file == "fetch":
-        return oeis.fetch_bfile(args.id, args.cache_dir, offline=args.offline)
-    return oeis.parse_bfile(Path(args.file).read_text(encoding="utf-8"), args.id)
-
-
 def cmd_check_bfile(args: argparse.Namespace) -> int:
     seq = catalogue.get(args.id)
     if args.limit < 0:
         raise ValueError(f"--limit must be non-negative, got {args.limit}")
-    table = _load_table(args)
+    if args.file is None:
+        table = oeis.fixture_table(args.id)
+    elif args.file == "fetch":
+        table = oeis.fetch_bfile(args.id, args.cache_dir, offline=args.offline)
+    else:
+        table = oeis.read_bfile(Path(args.file), args.id)
     mismatches = oeis.cross_check(seq, table, args.limit)
     checked = min(args.limit, len(table))
     for index, expected, actual in mismatches:

@@ -1,16 +1,18 @@
 """OEIS b-file parsing, serialization, cross-checking, and offline-first retrieval.
 
 A b-file is plain text with one "<index> <value>" pair per line; '#' lines are
-comments.  The package bundles fixture b-files for every sequence it
-generates, so everything here works with no network access.  Fetching from
-oeis.org is opt-in and falls back to the local cache and then to the bundled
-fixtures.
+comments.  The indices run on by one, so a `BFileTable` is the first index and
+the values.  Files, cache entries and fixtures are all read by `read_bfile`,
+whose lines end at "\n" only, as a download's do.  Fixture b-files bundled for
+every generated sequence make all of this work offline; fetching from oeis.org
+is opt-in and falls back to the local cache and then to the fixtures.
 """
 
 from __future__ import annotations
 
 import http.client
 import importlib.resources
+import operator
 import os
 import re
 import tempfile
@@ -38,27 +40,25 @@ class OffsetMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class BFileTable:
-    """Parsed b-file: a sequence id plus one or more contiguous (index, value) rows."""
+    """Parsed b-file: a sequence id, the first index `start`, and one or more
+    non-negative `values`, values[i] being the row of index start + i."""
 
     sequence_id: str
-    rows: tuple[tuple[int, int], ...]
+    start: int
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.rows:
+        if not self.values:
             raise BFileFormatError("no '<index> <value>' rows")
-        for position, (index, value) in enumerate(self.rows):
-            if value < 0:
-                raise BFileFormatError(
-                    f"negative value {value} at index {index}; "
-                    "all catalogued sequences are non-negative"
-                )
-            if position > 0 and index != self.rows[position - 1][0] + 1:
-                raise BFileFormatError(
-                    f"index gap: {self.rows[position - 1][0]} followed by {index}"
-                )
+        if min(self.values) < 0:
+            value = next(v for v in self.values if v < 0)
+            raise BFileFormatError(
+                f"negative value {value} at index {self.start + self.values.index(value)}; "
+                "all catalogued sequences are non-negative"
+            )
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.values)
 
 
 def bfile_name(sequence_id: str) -> str:
@@ -82,7 +82,7 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFileTable:
     each `-?[0-9]+`, separated by spaces or tabs.  Text with no rows (empty, or
     only comments) is not a b-file.
     """
-    rows: list[tuple[int, int]] = []
+    indices, values = [], []
     # tokens may stand apart only by spaces and tabs; a text with no other
     # ASCII whitespace in it needs no check of its rows for that
     odd_spaces = any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e\x1f")
@@ -105,8 +105,21 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFileTable:
         # than a tab is whitespace between them that is not a space or a tab
         if odd_spaces and not line.replace("\t", " ").isprintable():
             raise _row_error(lineno, raw, "expected '<index> <value>', got")
-        rows.append((index, value))
-    return BFileTable(sequence_id=sequence_id, rows=tuple(rows))
+        indices.append(index)
+        values.append(value)
+    start = indices[0] if indices else 0
+    if not all(map(operator.eq, indices, range(start, start + len(indices)))):
+        gap = next(i for i in range(1, len(indices)) if indices[i] != indices[i - 1] + 1)
+        # these raise for a negative value before the gap or on its row, which comes first
+        BFileTable(sequence_id, start, tuple(values[:gap]))
+        BFileTable(sequence_id, indices[gap], (values[gap],))
+        raise BFileFormatError(f"index gap: {indices[gap - 1]} followed by {indices[gap]}")
+    return BFileTable(sequence_id, start, tuple(values))
+
+
+def read_bfile(path: Path, sequence_id: str = "") -> BFileTable:
+    """Parse the UTF-8 b-file at a path or package resource; lines end at "\n" only."""
+    return parse_bfile(path.read_bytes().decode("utf-8"), sequence_id)
 
 
 def _row_error(lineno: int, raw: str, problem: str) -> BFileFormatError:
@@ -117,7 +130,7 @@ def _row_error(lineno: int, raw: str, problem: str) -> BFileFormatError:
 
 def serialize_bfile(table: BFileTable) -> str:
     """Emit one '<index> <value>' line per row; the text parses back to the table."""
-    return "".join(f"{index} {value}\n" for index, value in table.rows)
+    return "".join(f"{i} {v}\n" for i, v in enumerate(table.values, table.start))
 
 
 def cross_check(
@@ -129,22 +142,19 @@ def cross_check(
     value (the external reference) and `actual` is the generator's output.
     """
     if table.sequence_id and table.sequence_id != seq.id:
-        raise ValueError(
-            f"table is for {table.sequence_id!r}, descriptor is {seq.id!r}"
-        )
+        raise ValueError(f"table is for {table.sequence_id!r}, descriptor is {seq.id!r}")
     if limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
-    first_index = table.rows[0][0]
-    if first_index != seq.offset:
+    if table.start != seq.offset:
         raise OffsetMismatchError(
-            f"{seq.id}: table starts at index {first_index}, "
+            f"{seq.id}: table starts at index {table.start}, "
             f"catalogue offset is {seq.offset}"
         )
-    rows = table.rows[:limit]
-    generated = seq.terms(seq.offset, seq.offset + len(rows))
+    values = table.values[:limit]
+    generated = seq.terms(seq.offset, seq.offset + len(values))
     return [
         (index, value, actual)
-        for (index, value), actual in zip(rows, generated)
+        for index, (value, actual) in enumerate(zip(values, generated), table.start)
         if actual != value
     ]
 
@@ -154,20 +164,14 @@ def fixture_table(sequence_id: str) -> BFileTable:
     name = bfile_name(sequence_id)
     resource = importlib.resources.files(_FIXTURE_PACKAGE) / "fixtures" / name
     try:
-        text = resource.read_text(encoding="ascii")
+        return read_bfile(resource, sequence_id)
     except FileNotFoundError:
-        raise BFileUnavailableError(
-            f"no bundled fixture for {sequence_id}"
-        ) from None
-    return parse_bfile(text, sequence_id)
+        raise BFileUnavailableError(f"no bundled fixture for {sequence_id}") from None
 
 
 def default_cache_dir() -> Path:
     """Cache directory: $SEQPARITY_CACHE_DIR, else ~/.cache/seqparity."""
-    env = os.environ.get("SEQPARITY_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "seqparity"
+    return Path(os.environ.get("SEQPARITY_CACHE_DIR") or Path.home() / ".cache" / "seqparity")
 
 
 def _download(url: str, timeout: float) -> str:
@@ -209,7 +213,7 @@ def fetch_bfile(
     cache_path = Path(cache_dir if cache_dir is not None else default_cache_dir())
     cached = cache_path / bfile_name(sequence_id)
     try:
-        return parse_bfile(cached.read_text(encoding="utf-8"), sequence_id)
+        return read_bfile(cached, sequence_id)
     except (OSError, ValueError):  # absent, unreadable, undecodable or not a b-file
         pass
     if not offline:
@@ -228,8 +232,7 @@ def fetch_bfile(
     try:
         return fixture_table(sequence_id)
     except (BFileUnavailableError, ValueError):
+        network = "" if offline else ", network failed"
         raise BFileUnavailableError(
-            f"no source for {sequence_id}: cache miss"
-            + ("" if offline else ", network failed")
-            + ", no bundled fixture"
+            f"no source for {sequence_id}: cache miss{network}, no bundled fixture"
         ) from None

@@ -284,6 +284,35 @@ def test_check_bfile_rejects_a_token_that_is_not_ascii_decimal(capsys, tmp_path,
     assert err == f"error: line {position + 1}: non-integer token in {row!r}\n"
 
 
+# lines end at "\n" only, so this is one line, "0 0\r1 1" less its last CR
+LONE_CR_BFILE = b"0 0\r1 1\r"
+
+
+def test_check_bfile_reads_a_lone_carriage_return_as_no_line_end(capsys, tmp_path):
+    bad = tmp_path / "b010060.txt"
+    bad.write_bytes(LONE_CR_BFILE)
+    code, out, err = run_cli(capsys, "check-bfile", "A010060", "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: expected '<index> <value>', got '0 0\\r1 1'\n"
+
+
+def test_a_lone_carriage_return_cache_entry_is_a_cache_miss(capsys, tmp_path):
+    cached = tmp_path / "b010060.txt"
+    cached.write_bytes(LONE_CR_BFILE)
+    code, out, err = run_cli(
+        capsys, "check-bfile", "A010060", "--file", "fetch", "--cache-dir", str(tmp_path)
+    )
+    assert (code, out, err) == (0, "A010060: checked 8 terms, 0 mismatches\n", "")
+    assert cached.read_bytes() == LONE_CR_BFILE
+
+
+def test_check_bfile_reads_crlf_line_ends(capsys, tmp_path):
+    crlf = tmp_path / "b010060.txt"
+    crlf.write_bytes(b"# A010060\r\n0 0\r\n1 1\r\n2 1\r\n")
+    code, out, err = run_cli(capsys, "check-bfile", "A010060", "--file", str(crlf))
+    assert (code, out, err) == (0, "A010060: checked 3 terms, 0 mismatches\n", "")
+
+
 def test_check_bfile_offset_mismatch_is_a_failure(capsys, tmp_path):
     shifted = tmp_path / "table.txt"
     shifted.write_text("3 8\n4 14\n", encoding="utf-8")

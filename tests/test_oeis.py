@@ -1,9 +1,10 @@
 """b-file parsing, serialization, fixtures, cross-checking, and retrieval."""
 
 import http.client
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from seqparity import oeis
@@ -27,24 +28,38 @@ FIXTURE_IDS = sorted(seq_id for seq_id in CATALOGUE if seq_id != "m")
 
 @st.composite
 def tables(draw):
-    offset = draw(st.integers(min_value=-3, max_value=50))
+    start = draw(st.integers(min_value=-3, max_value=50))
     values = draw(
         st.lists(st.integers(min_value=0, max_value=10**30), min_size=1, max_size=40)
     )
-    rows = tuple((offset + i, v) for i, v in enumerate(values))
-    return BFileTable(sequence_id=draw(st.sampled_from(["", "A000001"])), rows=rows)
+    return BFileTable(draw(st.sampled_from(["", "A000001"])), start, tuple(values))
+
+
+def write_loosely(draw, rows):
+    """b-file text of (index, value) token pairs with drawn separators, line
+    ends, comments and blank lines; also the line number of each row."""
+    lines, linenos = [], []
+    for index, value in rows:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            lines.append(draw(st.sampled_from(["", " \t", "#", "# 1 +2 x"])))
+        linenos.append(len(lines) + 1)
+        separator = draw(st.sampled_from([" ", "\t", " \t  "]))
+        lines.append(f"{index}{separator}{value}")
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    ends[-1] = draw(st.sampled_from(["", "\n", "\r\n"]))
+    return "".join(line + end for line, end in zip(lines, ends)), linenos
 
 
 def test_parse_simple_table():
     table = parse_bfile("0 1\n1 0\n2 0\n")
-    assert table.rows == ((0, 1), (1, 0), (2, 0))
+    assert (table.start, table.values) == (0, (1, 0, 0))
     # a CRLF line end and tab separators read the same
-    assert parse_bfile("0 1\r\n1\t0\r\n2 \t 0").rows == table.rows
+    assert parse_bfile("0 1\r\n1\t0\r\n2 \t 0") == table
 
 
 def test_parse_skips_comments_and_blank_lines():
     table = parse_bfile("# comment\n\n1 1\n2 3\n")
-    assert table.rows == ((1, 1), (2, 3))
+    assert table == BFileTable("", 1, (1, 3))
 
 
 def test_parse_rejects_index_gap():
@@ -84,11 +99,11 @@ def test_parse_rejects_tokens_that_are_not_ascii_decimal(row):
 
 def test_parse_keeps_comments_free_form_and_reads_negative_indices():
     table = parse_bfile("# a_1 = +1, \u0661\n-1 10\n0 0\n")
-    assert table.rows == ((-1, 10), (0, 0))
+    assert table == BFileTable("", -1, (10, 0))
     # characters str.splitlines() breaks at stay inside the comment
     breaks = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\r"
     comment = "# " + " x ".join(breaks) + " 1 2\n"
-    assert parse_bfile(comment + "-1 10\n0 0\n").rows == ((-1, 10), (0, 0))
+    assert parse_bfile(comment + "-1 10\n0 0\n") == table
     with pytest.raises(BFileFormatError, match=r"^line 3: non-integer token in '1 x'$"):
         parse_bfile(comment + "0 1\n1 x\n")
 
@@ -112,14 +127,70 @@ def test_parse_rejects_negative_values():
         parse_bfile("0 -5\n")
 
 
+def test_a_negative_value_after_a_gap_names_its_own_index():
+    with pytest.raises(BFileFormatError, match=r"^negative value -1 at index 2; "):
+        parse_bfile("0 1\n2 -1\n")
+
+
+def test_the_first_faulty_row_names_the_table_error():
+    with pytest.raises(BFileFormatError, match=r"^index gap: 0 followed by 2$"):
+        parse_bfile("0 1\n2 5\n3 -1\n")
+
+
+def test_a_syntax_error_on_any_line_comes_before_a_table_error():
+    with pytest.raises(BFileFormatError, match=r"^line 2: non-integer token in 'x y'$"):
+        parse_bfile("0 -1\nx y\n")
+
+
+def test_a_value_beyond_the_int_digit_limit_is_a_format_error_outside_the_cli():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int/str conversion limit before Python 3.11")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        with pytest.raises(BFileFormatError, match=r"^line 1: non-integer token in "):
+            parse_bfile("0 " + "7" * 5000 + "\n")
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_serialize_examples():
-    assert serialize_bfile(BFileTable("", ((0, 1), (1, 0)))) == "0 1\n1 0\n"
-    assert serialize_bfile(BFileTable("", ((1, 1608),))) == "1 1608\n"
+    assert serialize_bfile(BFileTable("", 0, (1, 0))) == "0 1\n1 0\n"
+    assert serialize_bfile(BFileTable("", 1, (1608,))) == "1 1608\n"
 
 
 @given(tables())
 def test_round_trip_identity(table):
     assert parse_bfile(serialize_bfile(table), table.sequence_id) == table
+
+
+@given(st.data())
+def test_a_loosely_written_table_parses_back(data):
+    table = data.draw(tables())
+    text, _ = write_loosely(data.draw, enumerate(table.values, table.start))
+    assert parse_bfile(text, table.sequence_id) == table
+
+
+@given(st.data(), st.sampled_from(["gap", "negative", "plus"]))
+def test_an_injected_fault_is_named_by_its_row(data, fault):
+    table = data.draw(tables())
+    rows = list(enumerate(table.values, table.start))
+    assume(fault != "gap" or len(rows) > 1)
+    position = data.draw(st.integers(min_value=1 if fault == "gap" else 0, max_value=len(rows) - 1))
+    index, value = rows[position]
+    if fault == "gap":
+        rows[position] = (index + 1, value)
+        expected = rf"^index gap: {index - 1} followed by {index + 1}$"
+    elif fault == "negative":
+        rows[position] = (index, -value - 1)
+        expected = rf"^negative value {-value - 1} at index {index}; "
+    else:
+        rows[position] = (index, f"+{value}")
+    text, linenos = write_loosely(data.draw, rows)
+    if fault == "plus":
+        expected = rf"^line {linenos[position]}: non-integer token in "
+    with pytest.raises(BFileFormatError, match=expected):
+        parse_bfile(text)
 
 
 def test_bfile_naming():
@@ -140,22 +211,18 @@ def test_every_generator_matches_its_fixture(seq_id):
 
 def test_cross_check_reports_corruption():
     table = fixture_table("A061297")
-    corrupted = BFileTable(
-        table.sequence_id,
-        tuple(
-            (i, v + 1 if i == 5 else v) for i, v in table.rows
-        ),
-    )
+    values = list(table.values)
+    values[5] += 1  # the fixture starts at index 0
+    corrupted = BFileTable(table.sequence_id, table.start, tuple(values))
     mismatches = cross_check(CATALOGUE["A061297"], corrupted, 50)
     assert mismatches == [(5, 33, 32)]  # table said 33, generator says 32
 
 
 def test_cross_check_respects_limit():
     table = fixture_table("A061297")
-    corrupted = BFileTable(
-        table.sequence_id,
-        tuple((i, v + 1 if i == 10 else v) for i, v in table.rows),
-    )
+    values = list(table.values)
+    values[10] += 1
+    corrupted = BFileTable(table.sequence_id, table.start, tuple(values))
     assert cross_check(CATALOGUE["A061297"], corrupted, 5) == []
     assert cross_check(CATALOGUE["A061297"], corrupted, 0) == []
     with pytest.raises(ValueError):
@@ -169,7 +236,7 @@ def test_cross_check_rejects_id_disagreement():
 
 
 def test_cross_check_reports_offset_disagreement():
-    shifted = BFileTable("A061297", ((5, 1), (6, 2)))
+    shifted = BFileTable("A061297", 5, (1, 2))
     with pytest.raises(OffsetMismatchError):
         cross_check(CATALOGUE["A061297"], shifted, 10)
 
@@ -187,7 +254,7 @@ def test_fetch_prefers_cache(tmp_path, monkeypatch):
     cached = tmp_path / "b061297.txt"
     cached.write_text("0 7\n1 8\n", encoding="utf-8")
     table = fetch_bfile("A061297", tmp_path, offline=False)
-    assert table.rows == ((0, 7), (1, 8))
+    assert table == BFileTable("A061297", 0, (7, 8))
 
 
 def test_fetch_offline_never_touches_network(tmp_path, monkeypatch):
@@ -215,7 +282,7 @@ def test_fetch_online_downloads_and_caches(tmp_path, monkeypatch):
     monkeypatch.setattr(oeis, "_download", fake_download)
     table = fetch_bfile("A048883", tmp_path, offline=False)
     assert calls == ["https://oeis.org/A048883/b048883.txt"]
-    assert table.rows == ((0, 1), (1, 3))
+    assert table == BFileTable("A048883", 0, (1, 3))
     assert (tmp_path / "b048883.txt").read_text(encoding="utf-8") == payload
     # second call is served from the cache
     monkeypatch.setattr(oeis, "_download", lambda url, timeout: 1 / 0)
@@ -268,7 +335,7 @@ def test_fetch_online_unwritable_cache_returns_download(tmp_path, monkeypatch):
     not_a_dir = tmp_path / "cache"
     not_a_dir.write_text("", encoding="utf-8")
     table = fetch_bfile("A048883", not_a_dir, offline=False)
-    assert table.rows == ((0, 1), (1, 3))
+    assert table == BFileTable("A048883", 0, (1, 3))
     assert not_a_dir.read_text(encoding="utf-8") == ""
     assert [p.name for p in tmp_path.iterdir()] == ["cache"]  # no temporary left
 
@@ -279,7 +346,7 @@ def test_fetch_online_replaces_corrupt_cache(tmp_path, monkeypatch):
     cached = tmp_path / "b048883.txt"
     cached.write_text("0 1\n0 1\n", encoding="utf-8")
     table = fetch_bfile("A048883", tmp_path, offline=False)
-    assert table.rows == ((0, 1), (1, 3))
+    assert table == BFileTable("A048883", 0, (1, 3))
     assert cached.read_text(encoding="utf-8") == payload
 
 
@@ -328,13 +395,15 @@ def test_fetch_is_deterministic_offline(tmp_path):
 
 
 def test_table_invariants_enforced_on_construction():
+    # a gap cannot be built: the indices are start, start + 1, ...
     with pytest.raises(BFileFormatError):
-        BFileTable("", ((0, 1), (2, 1)))
-    with pytest.raises(BFileFormatError):
-        BFileTable("", ((0, -1),))
+        BFileTable("", 0, (-1,))
+    # the first negative value is named, with its own index
+    with pytest.raises(BFileFormatError, match=r"^negative value -1 at index 4; "):
+        BFileTable("", 3, (0, -1, -2))
 
 
 def test_a_table_with_no_rows_is_rejected():
     # so cross_check never meets a table it cannot read the offset of
     with pytest.raises(BFileFormatError, match="no '<index> <value>' rows"):
-        BFileTable("A061297", ())
+        BFileTable("A061297", 0, ())

@@ -185,7 +185,7 @@ _DESCRIPTORS = [
     SequenceDescriptor(
         id="A003071",
         offset=1,
-        terms=_pointwise(sorting.a003071),
+        terms=sorting.a003071_terms,
         summary="worst-case comparisons for list-merge sorting",
         claimed=ParityRelation(shift=1, complement=True),
     ),

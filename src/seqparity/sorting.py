@@ -3,7 +3,8 @@ and the halving-recursion chain A113474 / A101925 / A005187 / A122248."""
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import add
 
 from .parity import binary_weight
 
@@ -28,6 +29,40 @@ def a003071(n: int) -> int:
         total += n + (k << k)
         n ^= 1 << k
     return total
+
+
+def a003071_terms(start: int, stop: int) -> list[int]:
+    """A003071 at n = start .. stop - 1, one block [2**k, 2**(k+1)) at a time.
+
+    For n = 2**k + r with 0 < r < 2**k the final merge gives the merge rule
+    a(n) = a(2**k) + a(r) + n - 1 = ((k-1) << k) + a(r) + n.  Where r >= start,
+    a(r) is an earlier term of this window, so a window from the offset costs
+    one addition per term.  Where r < start, as in a window that starts high,
+    each term takes the scalar suffix-sum form a003071(n).
+    """
+    if start < 1:
+        raise ValueError(f"a003071 is defined for n >= 1, got {start}")
+    out: list[int] = []
+    n = start
+    while n < stop:
+        k = n.bit_length() - 1
+        top = 1 << k
+        end = min(stop, top << 1)
+        if n == top:
+            out.append(((k - 1) << k) + 1)
+            n += 1
+        # r = n - top is below start up to n = top + start
+        below = min(end, top + start)
+        out.extend(map(a003071, range(n, below)))
+        n = max(n, below)
+        if n < end:
+            base = (k - 1) << k
+            # a(r) for r < top, all already in out; islice reads them
+            # without a copy while extend appends past them
+            earlier = islice(out, n - top - start, end - top - start)
+            out.extend(map(add, earlier, range(base + n, base + end)))
+            n = end
+    return out
 
 
 def a001855(n: int) -> int:

@@ -230,9 +230,11 @@ def test_criterion_9_io_and_cli(capsys, tmp_path):
         for start, values in [(0, (0,)), (-2, (5, 0, 7)), (1, (10**40, 3))]:
             table = BFileTable("A000001", start, values)
             assert parse_bfile(serialize_bfile(table), "A000001") == table
-        # a table with no rows serializes to "", which is not a b-file
-        with pytest.raises(BFileFormatError):
-            parse_bfile(serialize_bfile(BFileTable("A000001", 0, ())), "A000001")
+        # a text with no rows is not a b-file, and no table holds zero rows
+        with pytest.raises(BFileFormatError, match="no '<index> <value>' rows"):
+            parse_bfile("", "A000001")
+        with pytest.raises(BFileFormatError, match="no '<index> <value>' rows"):
+            BFileTable("A000001", 0, ())
 
         # every generator agrees with its bundled fixture
         for seq_id in CATALOGUE:

@@ -45,10 +45,26 @@ def test_reinterpret_in_base_two_is_identity(n):
     assert reinterpret_binary(n, 2) == n
 
 
+# the bases int() parses, which reinterpret_binary hands to it, checked
+# against the power sum
 @pytest.mark.parametrize("base", range(2, 37))
 def test_reinterpret_agrees_with_int_parsing(base):
     ns = [*range(2048), 2**40 - 1, 2**40, 10**18 + 12345]
-    assert [reinterpret_binary(n, base) for n in ns] == [int(bin(n)[2:], base) for n in ns]
+    assert [reinterpret_binary(n, base) for n in ns] == [
+        reinterpret_binary_by_powers(n, base) for n in ns
+    ]
+
+
+# bases outside 2..36 take Horner's rule over octal digits; base 0 reads the
+# lowest binary digit and base 1 the binary weight
+@pytest.mark.parametrize("base", [0, 1, 37])
+def test_reinterpret_by_octal_horner_agrees_with_power_sum(base):
+    ns = [*range(2048), 2**40 - 1, 2**40, 10**18 + 12345]
+    assert [reinterpret_binary(n, base) for n in ns] == [
+        reinterpret_binary_by_powers(n, base) for n in ns
+    ]
+    assert reinterpret_binary(0, base) == 0
+    assert reinterpret_binary(1, base) == 1
 
 
 @given(st.integers(min_value=0, max_value=10**18), st.integers(min_value=37, max_value=10**12))

@@ -3,12 +3,15 @@
 from itertools import accumulate
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import a003071_simulate, a113474_prefix
 from seqparity.parity import master_prefix, thue_morse_bar
 from seqparity.sorting import (
     a001855,
     a003071,
+    a003071_terms,
     a005187,
     a101925,
     a113474,
@@ -92,6 +95,39 @@ def test_suffix_sum_matches_simulation_beyond_4096():
     stride = range(4097, 2**17, 2**17 // 40 + 1)
     for n in [*near_powers, *stride]:
         assert a003071(n) == a003071_simulate(n), n
+
+
+def test_range_generator_matches_the_scalar_from_the_offset():
+    assert a003071_terms(1, 2**17) == [a003071(n) for n in range(1, 2**17)]
+
+
+# windows that start high take the scalar for every term, and windows that
+# straddle a power of two switch blocks inside the window
+@pytest.mark.parametrize(
+    "start, stop",
+    [
+        (2**40, 2**40 + 4096),
+        (2**40 - 2048, 2**40 + 2048),
+        (10**12, 10**12 + 4096),
+        (2**16 - 3, 2**17 + 5),
+        (2**12 + 5, 2**14 - 1),
+        (3 * 2**11, 2**13 + 2**12),
+        (2**12, 2**12 + 1),
+    ],
+)
+def test_range_generator_matches_the_scalar_on_windows(start, stop):
+    assert a003071_terms(start, stop) == [a003071(n) for n in range(start, stop)]
+
+
+@given(st.integers(min_value=1, max_value=2**20), st.integers(min_value=0, max_value=3000))
+def test_range_generator_matches_the_scalar_on_drawn_windows(start, width):
+    stop = start + width
+    assert a003071_terms(start, stop) == [a003071(n) for n in range(start, stop)]
+
+
+def test_range_generator_rejects_a_start_below_one():
+    with pytest.raises(ValueError, match="n >= 1, got 0"):
+        a003071_terms(0, 5)
 
 
 def test_a003071_odd_at_powers_of_two():

@@ -8,7 +8,6 @@ an offset mismatch included; 2 a usage or input error or unwritable output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -26,6 +25,8 @@ def _emit_terms(seq_id: str, start: int, values: list[int], fmt: str) -> None:
     elif fmt == "bfile":
         sys.stdout.write(oeis.serialize_bfile(oeis.BFileTable(seq_id, start, tuple(values))))
     else:
+        import json
+
         record = {"id": seq_id, "from": start, "count": len(values), "terms": values}
         sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -55,6 +56,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sequences = [seq]
     report = verify_sequences(sequences, args.n_max, args.n_max_heavy)
     if args.format == "json":
+        import json
+
         payload = {
             "meta": {
                 "version": __version__,

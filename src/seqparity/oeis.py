@@ -5,18 +5,18 @@ comments.  The indices run on by one, so a `BFileTable` is the first index and
 the values.  Files, cache entries and fixtures are all read by `read_bfile`,
 whose lines end at "\n" only, as a download's do.  Fixture b-files bundled for
 every generated sequence make all of this work offline; fetching from oeis.org
-is opt-in and falls back to the local cache and then to the fixtures.
+is opt-in and falls back to the local cache and then to the fixtures.  The
+network stack is imported only by such a fetch, so an offline caller never
+loads it.
 """
 
 from __future__ import annotations
 
-import http.client
 import importlib.resources
 import operator
 import os
 import re
 import tempfile
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,20 +83,22 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFileTable:
     only comments) is not a b-file.
     """
     indices, values = [], []
-    # tokens may stand apart only by spaces and tabs; a text with no other
-    # ASCII whitespace in it needs no check of its rows for that
+    # int() also takes '+1', '1_0' and non-ASCII digits, and tokens may stand
+    # apart only by spaces and tabs; a text with none of those characters in it
+    # needs no check of its rows for them
+    odd_tokens = not text.isascii() or "_" in text or "+" in text
     odd_spaces = any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e\x1f")
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if len(tokens) != 2:
             raise _row_error(lineno, raw, "expected '<index> <value>', got")
+        line = raw.strip() if odd_tokens or odd_spaces else raw
         try:
-            # int() also takes '+1', '1_0' and non-ASCII digits; with those
-            # ruled out it takes exactly -?[0-9]+, and it raises on the rest
-            if not line.isascii() or "_" in line or "+" in line:
+            # with those ruled out int() takes exactly -?[0-9]+, and it
+            # raises on the rest
+            if odd_tokens and (not line.isascii() or "_" in line or "+" in line):
                 raise ValueError
             index, value = int(tokens[0]), int(tokens[1])
         except ValueError:
@@ -175,14 +177,17 @@ def default_cache_dir() -> Path:
 
 
 def _download(url: str, timeout: float) -> str:
+    import urllib.request
+
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return response.read().decode("utf-8")
 
 
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    # the text as downloaded, whatever the locale: read_bfile reads it back as UTF-8
     handle = tempfile.NamedTemporaryFile(
-        mode="w", dir=path.parent, suffix=".tmp", delete=False
+        mode="w", encoding="utf-8", newline="", dir=path.parent, suffix=".tmp", delete=False
     )
     try:
         with handle:
@@ -217,6 +222,8 @@ def fetch_bfile(
     except (OSError, ValueError):  # absent, unreadable, undecodable or not a b-file
         pass
     if not offline:
+        import http.client
+
         url = bfile_url(sequence_id)
         for _ in range(2):
             try:

@@ -430,6 +430,32 @@ def test_console_entry_point_subprocess():
     assert result.stdout == "1\n0\n0\n1\n0\n"
 
 
+OPT_IN_MODULES = ("http.client", "urllib.request", "ssl", "email", "json")
+
+
+def test_a_fresh_interpreter_imports_the_network_stack_and_json_only_when_used(capsys):
+    # the network stack is for --online and json for --format json; an
+    # import of the package or the CLI loads neither
+    probe = (
+        "import sys; before = set(sys.modules); import seqparity, seqparity.cli; "
+        f"print(sorted((set(sys.modules) - before) & set({OPT_IN_MODULES!r})))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_source_env()
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+    # and the JSON formats, which import json on use, print what they print in-process
+    for argv in (
+        ["gen", "A010060", "--count", "3", "--format", "json"],
+        ["verify", "A128975", "--format", "json"],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "seqparity", *argv],
+            capture_output=True, text=True, env=_source_env(),
+        )
+        assert (result.returncode, result.stdout, result.stderr) == run_cli(capsys, *argv)
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["gen"])  # missing required id

@@ -2,6 +2,8 @@
 
 import http.client
 import sys
+import tracemalloc
+import urllib.request
 
 import pytest
 from hypothesis import assume, given
@@ -152,6 +154,24 @@ def test_a_value_beyond_the_int_digit_limit_is_a_format_error_outside_the_cli():
             parse_bfile("0 " + "7" * 5000 + "\n")
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def test_parsing_4096_rows_peaks_below_a_measured_bound():
+    # tracemalloc measured a 728,542-byte peak (Python 3.11) for these
+    # 158,162 bytes of text: the split lines, the row lists and the table.
+    # A whole-text regex match that keeps backtracking state for each row
+    # would add about 1.7 MB at this row count.
+    seq = CATALOGUE["A104258"]
+    values = seq.terms(seq.offset, seq.offset + 4096)
+    text = serialize_bfile(BFileTable(seq.id, seq.offset, tuple(values)))
+    tracemalloc.start()
+    try:
+        table = parse_bfile(text, seq.id)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.values == tuple(values)
+    assert peak < 800_000
 
 
 def test_serialize_examples():
@@ -380,6 +400,62 @@ def test_fetch_online_failed_download_falls_back_to_fixture(
     table = fetch_bfile("A061297", tmp_path, offline=False)
     assert len(attempts) == 2  # one retry
     assert table == fixture_table("A061297")
+    assert list(tmp_path.iterdir()) == []  # nothing cached
+
+
+class _Response:
+    """What urlopen returns: a context manager whose read() gives the body."""
+
+    def __init__(self, read):
+        self.read = read
+        self.closed = False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.closed = True
+
+
+def _serve(monkeypatch, read):
+    """Make urlopen answer every request with `read`; return the responses
+    and the (url, timeout) of each request."""
+    responses, requests = [], []
+
+    def urlopen(url, timeout):
+        requests.append((url, timeout))
+        responses.append(_Response(read))
+        return responses[-1]
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return responses, requests
+
+
+def test_download_decodes_and_caches_good_bytes(tmp_path, monkeypatch):
+    # a non-ASCII comment shows the decode is UTF-8 and the cache keeps the bytes
+    body = "# A048883 \u00b7 3^wt(n)\r\n0 1\n1 3\n".encode("utf-8")
+    responses, requests = _serve(monkeypatch, lambda: body)
+    table = fetch_bfile("A048883", tmp_path, offline=False, timeout=2.5)
+    assert table == BFileTable("A048883", 0, (1, 3))
+    assert requests == [("https://oeis.org/A048883/b048883.txt", 2.5)]
+    assert [r.closed for r in responses] == [True]
+    assert (tmp_path / "b048883.txt").read_bytes() == body
+
+
+def _incomplete_body():
+    raise http.client.IncompleteRead(b"0 1\n1 2\n", 4096)
+
+
+@pytest.mark.parametrize(
+    "read", [lambda: b"0 1\n1 \xff\n", _incomplete_body], ids=["not-utf8", "incomplete-read"]
+)
+def test_download_of_a_bad_body_is_retried_never_cached_and_falls_back(
+    tmp_path, monkeypatch, read
+):
+    responses, requests = _serve(monkeypatch, read)
+    assert fetch_bfile("A061297", tmp_path, offline=False) == fixture_table("A061297")
+    assert len(requests) == 2  # one retry
+    assert [r.closed for r in responses] == [True, True]
     assert list(tmp_path.iterdir()) == []  # nothing cached
 
 

@@ -3,10 +3,17 @@
 a061297(n) sums q_r = lcm(n, n-1, ..., n-r+1) / lcm(1, 2, ..., r) over
 r = 0..n; the empty window has lcm 1.  Every prime power P <= r divides one of
 any r consecutive integers, so lcm(1..r) divides the window lcm and every
-summand is an exact integer.  The sum is taken in its prime-power event form:
-q_r changes only where a prime power enters the window or the base, so the
-walk does about two small multiply/divide steps per prime power up to n and
-adds each run of equal summands at once.  A range of n shares one list of the
+summand is an exact integer.
+
+For r >= ceil(n/2) the window {n-r+1, ..., n} holds all of (r, n], since
+n - r <= r, so every prime power up to n divides its lcm and
+lcm(n-r+1..n) / lcm(1..r) = lcm(1..n) / lcm(1..r).  That upper half of the sum
+depends on n alone, and a window of n carries it from n to n+1 in a few
+big-integer steps (the V/B carry of `_a061297_window`).  The lower half,
+r < ceil(n/2), is taken in its prime-power event form: q_r changes only where a
+prime power enters the window or the base, so the walk does about one small
+multiply or divide per prime power up to n and one per prime power below n/2,
+and adds each run of equal summands at once.  A range of n shares one list of the
 primes, from the package's one bytearray sieve `digits._primes`, and one table
 of prime powers; the prime powers up to each n are a prefix of it.
 
@@ -27,7 +34,8 @@ big-integer work.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import sys
+from bisect import bisect_left, bisect_right
 
 from .digits import _primes
 from .parity import binary_weight
@@ -50,6 +58,18 @@ def _a061297_window(start: int, stop: int) -> list[int]:
     between events it is constant, and each run of equal summands is added in
     one multiplication.  Where n = -1 (mod P) the gain and the loss fall on the
     same event and cancel.
+
+    The walk covers r < h = ceil(n/2) only.  For r >= h the window holds all
+    of (r, n], so the summand is L(n)/L(r), with L(x) = lcm(1..x), and depends
+    on n alone.  With Lambda(k) = p at a prime power k = p**j, else 1 (the
+    `loss` table), that upper half V = sum_{r=h..n} L(n)/L(r) and
+    B = L(n)/L(h) step from n-1 to n as
+        n even: V = Lambda(n)*V + 1,        B = Lambda(n)*B;
+        n odd:  V = Lambda(n)*(V - B) + 1,  B = Lambda(n)*B // Lambda(h),
+    since h grows by one at odd n and drops the r = h - 1 summand, which is B.
+    At the window's first n one pass down the prime powers in (h, n] gives
+    both: B is the running product of their primes, and V adds that product
+    once for each r between them, Horner's rule read backward.
     """
     loss = [1] * stop  # loss[P] = p at each prime power P = p**j below stop
     for p in _primes(2, stop):
@@ -59,22 +79,45 @@ def _a061297_window(start: int, stop: int) -> list[int]:
             power *= p
     powers = [P for P, p in enumerate(loss) if p != 1]  # increasing
     primes = [loss[P] for P in powers]
-    gain = [1] * stop  # per n: product of the primes gained at each r
+    h = (start + 1) // 2
+    upper = 0  # V at n = start, by Horner down the prime powers in (h, start]
+    base = 1  # L(start)/L(r) for r from start down to h, so B at the end
+    r = start
+    for P in reversed(powers[bisect_right(powers, h) : bisect_right(powers, start)]):
+        upper += base * (r + 1 - P)  # the summands for r' in [P, r]
+        base *= loss[P]
+        r = P - 1
+    upper += base * (r + 1 - h)
+    gain = [1] * stop  # per n: product of the primes gained at each r < h
     out = []
     for n in range(start, stop):
+        if n > start:
+            h = (n + 1) // 2
+            if n & 1:
+                upper = loss[n] * (upper - base) + 1
+                base = loss[n] * base // loss[h]
+            else:
+                upper = loss[n] * upper + 1
+                base *= loss[n]
         window = powers[: bisect_right(powers, n)]
-        positions = [n % P + 1 for P in window]
-        for pos, p in zip(positions, primes):
-            gain[pos] *= p
+        events = set(powers[: bisect_left(powers, h)])  # the losses below h
+        for P, p in zip(window, primes):
+            pos = n % P + 1
+            if pos < h:
+                gain[pos] *= p
+                events.add(pos)
         total = q = r = 1  # r = 0 summand; the run of summand q starts at r
-        for event in sorted(set(positions).union(window)):
+        for event in sorted(events):
             total += q * (event - r)
-            q *= gain[event]
-            gain[event] = 1
+            if gain[event] != 1:  # multiplying by 1 is a pass over q as well
+                q *= gain[event]
+                gain[event] = 1
             if loss[event] != 1:  # even a division by 1 is a pass over q
                 q //= loss[event]
             r = event
-        out.append(total + q * (n + 1 - r))
+        # the last run ends at h; at n = 0, h = 0 and it takes back the r = 0
+        # summand, which V holds
+        out.append(total + q * (h - r) + upper)
     return out
 
 
@@ -85,6 +128,8 @@ def a061297_terms(start: int, stop: int) -> list[int]:
     global _kept
     if start < 0:
         raise ValueError(f"a061297 is defined for n >= 0, got {start}")
+    if stop > sys.maxsize:  # the tables are lists indexed by n
+        raise ValueError(f"the lcm sums are computed for n < sys.maxsize = {sys.maxsize}, got n = {stop - 1}")
     if stop <= start:  # an empty range neither walks nor replaces the kept window
         return []
     kept_start, kept_stop, kept = _kept

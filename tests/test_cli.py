@@ -518,6 +518,10 @@ ERROR_PATHS = [
      "error: no '<index> <value>' rows\n"),
     (["check-bfile", "A061297", "--file", "{tmp}/comments.txt"], 2,
      "error: no '<index> <value>' rows\n"),
+    (["gen", "A061297", "--from", str(10**21), "--count", "1"], 2,
+     f"error: the lcm sums are computed for n < sys.maxsize = {sys.maxsize}, got n = {10**21}\n"),
+    (["parity", "A093431", "--from", str(sys.maxsize), "--count", "1"], 2,
+     f"error: the lcm sums are computed for n < sys.maxsize = {sys.maxsize}, got n = {sys.maxsize}\n"),
 ]
 
 
@@ -530,6 +534,13 @@ def test_error_paths_are_pinned(capsys, tmp_path, argv, expected_code, expected_
     (tmp_path / "comments.txt").write_text("# A061297\n\n", encoding="utf-8")
     code, out, err = run_cli(capsys, *_with_tmp(tmp_path, argv))
     assert (code, out, err) == (expected_code, "", _with_tmp(tmp_path, [expected_err])[0])
+
+
+def test_verify_reports_an_lcm_range_past_sys_maxsize_on_its_line(capsys):
+    code, out, err = run_cli(capsys, "verify", "A061297", "--n-max-heavy", str(10**21))
+    assert (code, err) == (1, "")
+    assert out == (f"A061297  error: ValueError: the lcm sums are computed for n < sys.maxsize = "
+                   f"{sys.maxsize}, got n = {10**21}\n")
 
 
 class _UnwritableStdout:

@@ -1,5 +1,6 @@
 """Exact lcm-quotient sums and the 2-adic parity shortcut."""
 
+import sys
 from math import lcm
 
 import pytest
@@ -67,6 +68,9 @@ def kernel_calls(monkeypatch):
 # n at, just below and just above prime powers: 2**7, 3**5, 31**2, 2**10, 11**3, 2**11
 PRIME_POWER_BOUNDARIES = [127, 128, 243, 960, 961, 1023, 1024, 1025, 1330, 1331, 2047, 2048]
 
+# prime powers P at which the upper-half carry of _a061297_window steps by a factor p
+CARRY_PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 125, 128, 243, 256, 512]
+
 
 @pytest.mark.parametrize("lo, hi, expected", [(1, 4, 12), (5, 4, 1), (3, 4, 12)])
 def test_lcm_range_examples(lo, hi, expected):
@@ -125,6 +129,31 @@ def test_a061297_terms_match_lcm_chain_sum_sampled(start, width):
     assert _a061297_window(start, stop) == [lcm_chain_sum(n) for n in range(start, stop)]
 
 
+def test_upper_half_summands_depend_on_n_alone():
+    """For r >= ceil(n/2) the window lcm is lcm(1..n): the identity the carry rests on."""
+    base = [lcm_range(1, k) for k in range(400)]
+    for n in range(400):
+        h = (n + 1) // 2
+        window = lcm_range(n - h + 2, n)
+        for r in range(h, n + 1):
+            window = lcm(window, n - r + 1)  # now lcm_range(n - r + 1, n)
+            assert window // base[r] == base[n] // base[r]
+
+
+@pytest.mark.parametrize("P", CARRY_PRIME_POWERS)
+def test_a061297_windows_carry_the_upper_half_across_its_steps(P):
+    # the carry multiplies by p at n = P and divides B by p at n = 2P - 1,
+    # where ceil(n/2) = P; each window either starts at that step or crosses it
+    for n in (P, 2 * P - 1):
+        expected = {k: lcm_chain_sum(k) for k in range(max(0, n - 5), n + 5)}
+        for width in range(1, 9):
+            for start in (n - width // 2 - 1, n - width // 2):  # one odd, one even
+                if start >= 0:
+                    assert _a061297_window(start, start + width) == [
+                        expected[k] for k in range(start, start + width)
+                    ]
+
+
 def test_a061297_terms_reject_a_negative_start():
     with pytest.raises(ValueError):
         a061297_terms(-1, 3)
@@ -166,6 +195,15 @@ def test_a061297_terms_walk_and_keep_a_window_that_is_not_contained(kernel_calls
     assert lcm_sums._kept[:2] == (90, 110)
     assert a061297_terms(95, 105) == [lcm_chain_sum(n) for n in range(95, 105)]
     assert kernel_calls == [(0, 100), (90, 110)]
+
+
+def test_a061297_terms_reject_a_stop_past_sys_maxsize_before_allocating(kernel_calls):
+    with pytest.raises(ValueError, match=rf"n < sys.maxsize = {sys.maxsize}, got n = {sys.maxsize}$"):
+        a061297_terms(sys.maxsize, sys.maxsize + 1)
+    with pytest.raises(ValueError, match=r"got n = 1000000000000000000000$"):
+        a093431(10**21)
+    assert a061297_terms(sys.maxsize - 1, sys.maxsize - 1) == []  # empty: nothing to compute
+    assert kernel_calls == []
 
 
 def test_a061297_terms_check_the_start_before_the_kept_window(monkeypatch):

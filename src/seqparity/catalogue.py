@@ -5,6 +5,12 @@ the ten sequences whose parity is asserted to follow the master sequence --
 the parity relation as originally claimed, even where that claim turns out to
 be off by a shift.  The verifier reports claimed-versus-fitted side by side
 rather than silently correcting anything.
+
+Every range generator is a true window: it computes the terms it returns and
+no prefix of terms below them.  The convolutions, A122248 and A003071 cost the
+window's width times at most the bit length of its start; A092524 sieves with
+the primes up to sqrt(stop), and the lcm sums build their prime-power tables
+over [0, stop).
 """
 
 from __future__ import annotations
@@ -60,17 +66,6 @@ def _pointwise(fn: Callable[[int], int]) -> Callable[[int, int], list[int]]:
 
     def terms(start: int, stop: int) -> list[int]:
         return [fn(n) for n in range(start, stop)]
-
-    return terms
-
-
-def _prefix(fn: Callable[[int], list[int]]) -> Callable[[int, int], list[int]]:
-    """Range generator for an offset-0 sequence that is only computed as a prefix."""
-
-    def terms(start: int, stop: int) -> list[int]:
-        if start < 0:
-            raise ValueError(f"{fn.__name__} starts at index 0, got start={start}")
-        return fn(stop)[start:]
 
     return terms
 
@@ -135,7 +130,7 @@ _DESCRIPTORS = [
     SequenceDescriptor(
         id="A029886",
         offset=0,
-        terms=_prefix(convolution.a029886_prefix),
+        terms=convolution.a029886_terms,
         summary="self-convolution of the {1,2} Thue-Morse sequence",
         claimed=ParityRelation(shift=0, complement=False),
     ),
@@ -148,7 +143,7 @@ _DESCRIPTORS = [
     SequenceDescriptor(
         id="A247303",
         offset=0,
-        terms=_prefix(convolution.a247303_prefix),
+        terms=convolution.a247303_terms,
         summary="self-convolution of tbar",
         claimed=ParityRelation(shift=0, complement=False),
     ),
@@ -198,7 +193,7 @@ _DESCRIPTORS = [
     SequenceDescriptor(
         id="A122248",
         offset=0,
-        terms=_prefix(sorting.a122248_prefix),
+        terms=sorting.a122248_terms,
         summary="partial sums of a113474",
         claimed=ParityRelation(shift=0, complement=True),
     ),

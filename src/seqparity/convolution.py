@@ -15,14 +15,20 @@ so a029886(n) = a247303(n) + 2(n+1) - 2S(n).  S(n) is s(n) at even n and 0 at
 odd n, as s(2j+1) = -s(2j); the difference is thus 2n + 4t(n) at even n and
 2(n+1) at odd n, and the two sequences agree mod 4.
 
-A prefix of A247303 is built by halving.  P(x) = (1-x) P(x^2) makes
+A window of A247303 is built by halving.  P(x) = (1-x) P(x^2) makes
 P^2 = (1-x)^2 P(x^2)^2, so c(2k) = c(k) + c(k-1) and c(2k+1) = -2c(k).
 Putting c(k) = 4a(k) - (k+1) - 2S(k) back in, with a(0) = 1 and a(1) = 0:
     a(2k)   = a(k) + a(k-1) + [k odd] s(k)
     a(2k+1) = k + 1 - 2a(k) + [k even] s(k)
+so the window [start, stop) is read off the window [start//2 - 1, (stop+1)//2)
+one level down, about half as wide.  The levels end at a window from 0 or 1,
+which feeds on its own earlier terms; a window at n thus costs about twice
+its width plus O(log n) levels.
 """
 
 from __future__ import annotations
+
+from itertools import count, islice
 
 from .parity import thue_morse, thue_morse_bar
 
@@ -34,35 +40,63 @@ def a001285(n: int) -> int:
     return 2 - thue_morse_bar(n)
 
 
-def a247303_prefix(count: int) -> list[int]:
-    """First `count` terms of the self-convolution of the negated Thue-Morse sequence."""
-    if count <= 0:
-        return []
-    terms = [1, 0]
-    for k in range(1, (count + 1) // 2):
+def _halve(out: list[int], below: list[int], k_lo: int, k_hi: int) -> None:
+    """Append a(2k), a(2k+1) for k = k_lo .. k_hi - 1 to out, reading a(k - 1)
+    and a(k) from below, whose first term is a(k_lo - 1).  below may be out
+    itself, when its terms come far enough ahead of the ones appended."""
+    for k, prev, a in zip(range(k_lo, k_hi), below, islice(below, 1, None)):
         s, odd = 1 - 2 * thue_morse(k), k & 1
-        terms.append(terms[k] + terms[k - 1] + odd * s)
-        terms.append(k + 1 - 2 * terms[k] + (1 - odd) * s)
-    return terms[:count]
+        out.append(a + prev + odd * s)
+        out.append(k + 1 - 2 * a + (1 - odd) * s)
+
+
+def a247303_terms(start: int, stop: int) -> list[int]:
+    """Self-convolution of the negated Thue-Morse sequence at n = start .. stop - 1.
+
+    The windows one level down are listed first, in a loop rather than by
+    recursion, so a start near 2**1100 needs no deeper stack than one near 0.
+    """
+    if start < 0:
+        raise ValueError(f"a247303 is defined for n >= 0, got {start}")
+    if stop <= start:
+        return []
+    levels = []
+    while start > 1:
+        levels.append((start, stop))
+        start, stop = start // 2 - 1, (stop + 1) // 2
+    out = [1, 0]
+    _halve(out, out, 1, (stop + 1) // 2)
+    del out[stop:]
+    del out[:start]
+    for start, stop in reversed(levels):
+        below, out = out, []
+        first = start & ~1  # the pairs cover [first, stop rounded up to even)
+        _halve(out, below, first >> 1, (stop + 1) >> 1)
+        del out[stop - first :]
+        del out[: start - first]
+    return out
 
 
 def a247303(n: int) -> int:
-    """Self-convolution of tbar at index n: sum of tbar(i) * tbar(n-i)."""
+    """Self-convolution of tbar at index n: the one-term window of a247303_terms."""
     if n < 0:
         raise ValueError(f"a247303 is defined for n >= 0, got {n}")
-    return a247303_prefix(n + 1)[n]
+    return a247303_terms(n, n + 1)[0]
 
 
-def a029886_prefix(count: int) -> list[int]:
-    """First `count` terms of the self-convolution of a001285."""
+def a029886_terms(start: int, stop: int) -> list[int]:
+    """Self-convolution of a001285 at n = start .. stop - 1, as the A247303 window
+    plus 2n + 4t(n) at even n and 2(n+1) at odd n."""
+    if start < 0:
+        raise ValueError(f"a029886 is defined for n >= 0, got {start}")
     return [
         a + 2 * n + (2 if n & 1 else 4 * thue_morse(n))
-        for n, a in enumerate(a247303_prefix(count))
+        for n, a in zip(count(start), a247303_terms(start, stop))
     ]
 
 
 def a029886(n: int) -> int:
-    """Self-convolution of a001285 at index n, as a247303(n) + 2(n+1) - 2S(n)."""
+    """Self-convolution of a001285 at index n: the one-term window of a029886_terms."""
     if n < 0:
         raise ValueError(f"a029886 is defined for n >= 0, got {n}")
-    return a029886_prefix(n + 1)[n]
+    return a029886_terms(n, n + 1)[0]

@@ -35,32 +35,44 @@ def a003071_terms(start: int, stop: int) -> list[int]:
     """A003071 at n = start .. stop - 1, one block [2**k, 2**(k+1)) at a time.
 
     For n = 2**k + r with 0 < r < 2**k the final merge gives the merge rule
-    a(n) = a(2**k) + a(r) + n - 1 = ((k-1) << k) + a(r) + n.  Where r >= start,
-    a(r) is an earlier term of this window, so a window from the offset costs
-    one addition per term.  Where r < start, as in a window that starts high,
-    each term takes the scalar suffix-sum form a003071(n).
+    a(n) = a(2**k) + a(r) + n - 1 = ((k-1) << k) + a(r) + n, one addition per
+    term.  The a(r) with r >= start are earlier terms of the window.  Those
+    with r < start form a window of their own: in the block that holds start,
+    [start - 2**k, min(stop, 2**(k+1)) - 2**k), as wide as the block's part
+    and with the top bit of start cleared; in each block above, or where
+    start is a power of two, [1, min(stop - 2**k, start)), a window from the
+    offset, which reads no lower window.  The first of these recurses once per
+    set bit of start, so the windows are walked down in a loop and built back
+    up, each from the one below it: a window at n costs O(width * weight(n)).
     """
     if start < 1:
         raise ValueError(f"a003071 is defined for n >= 1, got {start}")
+    levels = []  # the windows down to one that starts at a power of two
+    while start < stop and start & (start - 1):
+        levels.append((start, stop))
+        top = 1 << (start.bit_length() - 1)
+        start, stop = start - top, min(stop, top << 1) - top
+    levels.append((start, stop))
     out: list[int] = []
-    n = start
-    while n < stop:
-        k = n.bit_length() - 1
-        top = 1 << k
-        end = min(stop, top << 1)
-        if n == top:
-            out.append(((k - 1) << k) + 1)
-            n += 1
-        # r = n - top is below start up to n = top + start
-        below = min(end, top + start)
-        out.extend(map(a003071, range(n, below)))
-        n = max(n, below)
-        if n < end:
+    for start, stop in reversed(levels):
+        below, out = out, []  # a(r) for the r < start of the first block
+        n = start
+        while n < stop:
+            k = n.bit_length() - 1
+            top = 1 << k
+            end = min(stop, top << 1)
+            if n == top:
+                out.append(((k - 1) << k) + 1)
+                n += 1
+                below = a003071_terms(1, min(end - top, start))
             base = (k - 1) << k
-            # a(r) for r < top, all already in out; islice reads them
-            # without a copy while extend appends past them
-            earlier = islice(out, n - top - start, end - top - start)
-            out.extend(map(add, earlier, range(base + n, base + end)))
+            mid = n + len(below)  # the r below start end at r = mid - top
+            out.extend(map(add, below, range(base + n, base + mid)))
+            if mid < end:
+                # a(r) for r >= start, all already in out; islice reads them
+                # without a copy while extend appends past them
+                earlier = islice(out, mid - top - start, end - top - start)
+                out.extend(map(add, earlier, range(base + mid, base + end)))
             n = end
     return out
 
@@ -105,7 +117,25 @@ def a005187(n: int) -> int:
     return 2 * n - binary_weight(n)
 
 
-def a122248_prefix(count: int) -> list[int]:
-    """First `count` terms of A122248 (indices 0..count-1), the partial sums of
-    a113474: a(0) = 0, a(n) = a113474(1) + ... + a113474(n)."""
-    return list(accumulate(map(a113474, range(1, count)), initial=0))[:count]
+def a122248_terms(start: int, stop: int) -> list[int]:
+    """A122248 at n = start .. stop - 1, the partial sums of a113474:
+    a(0) = 0, a(n) = a113474(1) + ... + a113474(n).
+
+    As a113474(k) = k - binary_weight(k) + 1, the first term is
+    a(n) = n(n+1)/2 + n - W(n), with W(n) the binary weight summed over
+    k = 0..n.  Bit j is set in 2**j of every 2**(j+1) consecutive integers, so
+    of the n + 1 integers 0..n, (n+1) // 2**(j+1) whole periods contribute 2**j
+    each and the last, partial period the part of it past 2**j.  The rest of
+    the window accumulates the a113474 terms.
+    """
+    if start < 0:
+        raise ValueError(f"a122248 is defined for n >= 0, got {start}")
+    if stop <= start:
+        return []
+    m = start + 1
+    weights = sum(
+        (m >> (j + 1) << j) + max((m & ((2 << j) - 1)) - (1 << j), 0)
+        for j in range(m.bit_length())
+    )
+    first = start * (start + 3) // 2 - weights
+    return list(accumulate(map(a113474, range(start + 1, stop)), initial=first))

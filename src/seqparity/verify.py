@@ -4,6 +4,10 @@ Every catalogued claim is checked term by term over a configurable range, and
 independently of the claim a best-fitting (shift, complement) pair is searched
 for.  Where the recorded claim disagrees with the data by an index shift, the
 report shows both; it never substitutes the fit for the claim.
+
+A sequence's terms are generated one window of at most W indices at a time
+and only their parities are kept, one bit per term, so the terms held at once
+stay bounded however far the range reaches.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from .catalogue import (
 from .parity import master_prefix
 
 MAX_SHIFT = 4
+#: The width of the windows _parity_word generates terms in; their
+#: boundaries fall on multiples of W.
+W = 1 << 14
 MISMATCH_SAMPLE_CAP = 10
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -38,10 +45,24 @@ def _set_bits(word: int, cap: int | None = None) -> list[int]:
 
 
 def _parity_word(seq: SequenceDescriptor, n_max: int) -> int:
-    """The parities of seq's values at [offset, n_max], packed by _pack."""
+    """The parities of seq's values at [offset, n_max], packed by _pack.
+
+    The terms come one window at a time, [offset, W), [W, 2W) and so on up
+    to n_max, and each window's bits are packed and its terms dropped before
+    the next.  Bounded by multiples of W, the windows never straddle a power
+    of two above W.  They are taken from the top down, so a generator that
+    refuses the range's top (the lcm sums past sys.maxsize) raises before
+    any work is done.
+    """
     if n_max < seq.offset:
         raise ValueError(f"n_max {n_max} is below the offset of {seq.id}")
-    return _pack([v & 1 for v in seq.terms(seq.offset, n_max + 1)])
+    word = 0
+    hi = n_max + 1
+    while hi > seq.offset:
+        lo = max((hi - 1) // W * W, seq.offset)
+        word |= _pack([v & 1 for v in seq.terms(lo, hi)]) << (lo - seq.offset)
+        hi = lo
+    return word
 
 
 class _PackedParities:

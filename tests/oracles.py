@@ -8,10 +8,11 @@ production route.  Binary words are plain strings over {"0", "1"}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import lcm
 from typing import Iterable, Mapping
 
-from seqparity.parity import master_m, thue_morse_bar
+from seqparity.parity import master_m, thue_morse, thue_morse_bar
 
 
 def as_word(bits: Iterable[int]) -> str:
@@ -203,6 +204,84 @@ def a113474_prefix(count: int) -> list[int]:
     for i in range(2, count + 1):
         values[i] = values[i // 2] + i // 2
     return values[1:]
+
+
+def a122248_prefix(count: int) -> list[int]:
+    """First `count` terms of A122248 (indices 0..count-1), the partial sums of
+    a113474: a(0) = 0, a(n) = a113474(1) + ... + a113474(n)."""
+    return list(accumulate(a113474_prefix(count - 1), initial=0))[:count]
+
+
+def a122248_by_weights(n: int) -> int:
+    """A122248 at n from its unrolled form n(n+1)/2 + n - sum of binary weights,
+    the weights counted one integer k <= n at a time."""
+    if n < 0:
+        raise ValueError(f"a122248 is defined for n >= 0, got {n}")
+    return n * (n + 1) // 2 + n - sum(bin(k).count("1") for k in range(n + 1))
+
+
+def a247303_prefix(count: int) -> list[int]:
+    """First `count` terms of A247303 by the halving recurrence, as one prefix
+    that feeds on its own earlier terms: a(2k) = a(k) + a(k-1) + [k odd] s(k),
+    a(2k+1) = k + 1 - 2a(k) + [k even] s(k), with s(k) = 1 - 2t(k)."""
+    if count <= 0:
+        return []
+    terms = [1, 0]
+    for k in range(1, (count + 1) // 2):
+        s, odd = 1 - 2 * thue_morse(k), k & 1
+        terms.append(terms[k] + terms[k - 1] + odd * s)
+        terms.append(k + 1 - 2 * terms[k] + (1 - odd) * s)
+    return terms[:count]
+
+
+def a029886_prefix(count: int) -> list[int]:
+    """First `count` terms of A029886 as the A247303 prefix plus 2n + 4t(n) at
+    even n and 2(n+1) at odd n."""
+    return [
+        a + 2 * n + (2 if n & 1 else 4 * thue_morse(n))
+        for n, a in enumerate(a247303_prefix(count))
+    ]
+
+
+def thue_morse_pair_counts(n: int) -> list[list[int]]:
+    """counts[p][q] = #{i in [0, n] : t(i) = p and t(n - i) = q}.
+
+    A digit walk over the bits of n from the lowest, carrying the addition
+    i + j = n: each state is (carry, t(i) so far, t(j) so far), and a pair of
+    bits (x, y) is allowed where x + y + carry has the bit of n.  So a term
+    at any n costs O(log n) steps, with no halving recurrence.
+    """
+    if n < 0:
+        raise ValueError(f"the convolutions are defined for n >= 0, got {n}")
+    states = {(0, 0, 0): 1}
+    for b in range(n.bit_length()):
+        bit = (n >> b) & 1
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (carry, p, q), ways in states.items():
+            for x in (0, 1):
+                for y in (0, 1):
+                    total = x + y + carry
+                    if total & 1 == bit:
+                        key = (total >> 1, p ^ x, q ^ y)
+                        nxt[key] = nxt.get(key, 0) + ways
+        states = nxt
+    counts = [[0, 0], [0, 0]]
+    for (carry, p, q), ways in states.items():
+        if carry == 0:
+            counts[p][q] += ways
+    return counts
+
+
+def a247303_by_digits(n: int) -> int:
+    """Self-convolution of tbar at n: the pairs (i, n - i) of evil numbers."""
+    return thue_morse_pair_counts(n)[0][0]
+
+
+def a029886_by_digits(n: int) -> int:
+    """Self-convolution of 2 - tbar = 1 + t at n, summed over the four classes
+    of pairs (t(i), t(n - i))."""
+    counts = thue_morse_pair_counts(n)
+    return sum((1 + p) * (1 + q) * counts[p][q] for p in (0, 1) for q in (0, 1))
 
 
 def a247303_direct(n: int) -> int:

@@ -55,9 +55,8 @@ from seqparity import (
 )
 from seqparity.catalogue import CATALOGUE
 from seqparity.cli import main as cli_main
-from seqparity.convolution import a029886_prefix, a247303_prefix
 from seqparity.oeis import BFileFormatError, BFileTable
-from seqparity.sorting import a122248_prefix
+from seqparity.sorting import a122248_terms
 
 
 @contextmanager
@@ -214,7 +213,7 @@ def test_criterion_8_chain_identities():
         top = 2**14
         m_bits = master_prefix(top + 1)
         a113474_values = a113474_prefix(2 * top + 2)  # indices 1 .. 2*top+1
-        a122248_values = a122248_prefix(top + 1)
+        a122248_values = a122248_terms(0, top + 1)
         assert all(a101925(n) == a005187(n) + 1 for n in range(top + 1))
         assert all(a101925(k) % 2 == thue_morse_bar(k) for k in range(top + 1))
         assert all(

@@ -9,16 +9,20 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import a029886_by_digits, a247303_by_digits
 from seqparity import oeis
 from seqparity.catalogue import CATALOGUE, parity_catalogue
 from seqparity.cli import main
 from seqparity.lcm_sums import a061297
+from seqparity.parity import master_m
+from seqparity.sorting import a003071, a113474
 
 
 def run_cli(capsys, *argv):
@@ -667,3 +671,69 @@ def test_integer_flags_never_escape_as_a_traceback(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2)
+
+
+# Each of these took about 1.2 ms in-process on a 2-vCPU VM (Python 3.11.7).
+# Before the convolutions and A122248 were true windows the same command
+# built all 10**12 earlier terms and ran out of memory.
+DEEP_GEN_SECONDS = 0.5
+
+
+@pytest.mark.parametrize("seq_id", ["A122248", "A247303", "A029886"])
+def test_gen_at_a_deep_start_is_bounded(capsys, seq_id):
+    start = 10**12
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "gen", seq_id, "--from", str(start), "--count", "64")
+    elapsed = time.perf_counter() - started
+    assert (code, err) == (0, "")
+    assert elapsed < DEEP_GEN_SECONDS
+    values = [int(line) for line in out.splitlines()]
+    ns = range(start, start + 64)
+    if seq_id == "A122248":
+        # partial sums of a113474, with every term's parity 1 - m(n)
+        assert [b - a for a, b in zip(values, values[1:])] == [a113474(n) for n in ns[1:]]
+        assert [v & 1 for v in values] == [1 - master_m(n) for n in ns]
+    else:
+        oracle = a247303_by_digits if seq_id == "A247303" else a029886_by_digits
+        assert values == [oracle(n) for n in ns]
+
+
+def test_gen_of_a247303_far_past_the_recursion_limit(capsys):
+    start = 2**1100
+    code, out, err = run_cli(capsys, "gen", "A247303", "--from", str(start), "--count", "4")
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{a247303_by_digits(n)}\n" for n in range(start, start + 4))
+
+
+def test_gen_of_a003071_one_below_a_deep_power_of_two(capsys):
+    start = 2**1200 - 1
+    code, out, err = run_cli(capsys, "gen", "A003071", "--from", str(start), "--count", "2")
+    assert (code, err) == (0, "")
+    assert out == f"{a003071(start)}\n{a003071(start + 1)}\n"
+
+
+# Peak memory of one verify in a fresh interpreter, above what it holds once
+# the package is imported.  On a 2-vCPU VM (Python 3.11.7) this read 22.6 MB
+# when the parity word was packed from a list of every term, and 4.1 MB when it
+# is packed one window of terms at a time; the bound sits between the two.
+VERIFY_WIDE_PEAK_GROWTH_MB = 12
+# the child's own high-water mark: its ru_maxrss would start at this process's
+# peak, which Linux carries across fork and exec
+_PEAK_KIB = "int(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1])"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_verify_holds_one_window_of_terms_at_a_time():
+    probe = (
+        "import re, sys; from seqparity.cli import main; "
+        f"before = {_PEAK_KIB}; "
+        "code = main(['verify', 'A104258', '--n-max', '262144']); "
+        f"print(code, {_PEAK_KIB} - before, file=sys.stderr)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_source_env()
+    )
+    code, growth_kib = map(int, result.stderr.split())
+    assert code == 0
+    assert "A104258  claimed: FAIL" in result.stdout
+    assert growth_kib / 1024 < VERIFY_WIDE_PEAK_GROWTH_MB

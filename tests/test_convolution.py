@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import a247303_direct
+from oracles import a247303_direct, a247303_prefix
 from seqparity.convolution import (
     a001285,
     a029886,
-    a029886_prefix,
+    a029886_terms,
     a247303,
-    a247303_prefix,
+    a247303_terms,
 )
 from seqparity.parity import master_m, master_prefix, thue_morse, thue_morse_bar
 
@@ -23,12 +23,12 @@ RANGE = 2**16
 
 @pytest.fixture(scope="module")
 def conv247303():
-    return a247303_prefix(RANGE + 1)
+    return a247303_terms(0, RANGE + 1)
 
 
 @pytest.fixture(scope="module")
 def conv029886():
-    return a029886_prefix(RANGE + 1)
+    return a029886_terms(0, RANGE + 1)
 
 
 @pytest.mark.parametrize("n, expected", [(0, 1), (1, 2), (6, 1)])
@@ -46,7 +46,7 @@ def test_a029886_examples(n, expected):
 
 
 def test_a029886_prefix_values():
-    assert a029886_prefix(13) == A029886_PREFIX
+    assert a029886_terms(0, 13) == A029886_PREFIX
     assert [a029886(n) for n in range(13)] == A029886_PREFIX
 
 
@@ -56,7 +56,7 @@ def test_a247303_examples(n, expected):
 
 
 def test_a247303_prefix_values():
-    assert a247303_prefix(19) == A247303_PREFIX
+    assert a247303_terms(0, 19) == A247303_PREFIX
     assert [a247303(n) for n in range(19)] == A247303_PREFIX
 
 
@@ -71,7 +71,7 @@ def test_a247303_convolution_window_sums(conv247303):
 def test_a247303_prefix_matches_scalar_sum():
     # every term past index 1 comes from the halving rules, so 600 terms run
     # both rules at both parities of k on every level up to k = 299
-    prefix = a247303_prefix(600)
+    prefix = a247303_terms(0, 600)
     assert prefix == [a247303_direct(n) for n in range(600)]
 
 
@@ -79,14 +79,14 @@ def test_a247303_prefix_matches_scalar_sum():
 def test_a247303_prefix_slot_width_boundaries(count):
     # 0 and 1 stop before the recurrence; an odd count cuts the odd half off the
     # last pair of terms it builds, an even count keeps it
-    prefix = a247303_prefix(count)
+    prefix = a247303_terms(0, count)
     assert len(prefix) == count
     for n in {0, 1, count // 2, count - 1} & set(range(count)):
         assert prefix[n] == a247303_direct(n)
 
 
 def test_a247303_prefix_matches_direct_sum_below_1024():
-    prefix = a247303_prefix(1024)
+    prefix = a247303_terms(0, 1024)
     assert prefix == [a247303_direct(n) for n in range(1024)]
 
 
@@ -98,7 +98,7 @@ def test_a247303_prefix_matches_direct_sum_at_drawn_n(n):
 
 def test_a247303_stretched_range_pin():
     # values from the big-integer square the recurrence replaced
-    prefix = a247303_prefix(2**20 + 1)
+    prefix = a247303_terms(0, 2**20 + 1)
     assert prefix[2**20] == 174762
     assert prefix[2**20 - 1] == 524288
     assert sum(prefix) == 137439390378
@@ -119,7 +119,7 @@ def test_a029886_convolution_window_sums(conv029886):
     for n in (0, 1, 17, 64, 100, 4095, 8192, 65535, 65536):
         window = [ones_twos[i] * ones_twos[n - i] for i in range(n + 1)]
         assert sum(window) == conv029886[n] == a029886(n)
-    prefix = a029886_prefix(2**18)
+    prefix = a029886_terms(0, 2**18)
     for n in (2**18 - 2, 2**18 - 1):
         window = [ones_twos[i] * ones_twos[n - i] for i in range(n + 1)]
         assert sum(window) == prefix[n] == a029886(n)
@@ -128,7 +128,7 @@ def test_a029886_convolution_window_sums(conv029886):
 def test_odious_count_closed_form():
     # a029886 - a247303 is four times the count of odious k <= n
     running = 0
-    differences = zip(a029886_prefix(3000), a247303_prefix(3000))
+    differences = zip(a029886_terms(0, 3000), a247303_terms(0, 3000))
     for n, (a029886_n, a247303_n) in enumerate(differences):
         running += thue_morse(n)
         assert a029886_n - a247303_n == 4 * running

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import a003071_simulate, a113474_prefix
+from oracles import a003071_simulate, a113474_prefix, a122248_by_weights, a122248_prefix
 from seqparity.parity import master_prefix, thue_morse_bar
 from seqparity.sorting import (
     a001855,
@@ -15,7 +15,7 @@ from seqparity.sorting import (
     a005187,
     a101925,
     a113474,
-    a122248_prefix,
+    a122248_terms,
 )
 
 A003071_PREFIX = [0, 1, 3, 5, 9, 11, 14, 17, 25, 27, 30, 33, 38, 41, 45, 49, 65]
@@ -101,8 +101,8 @@ def test_range_generator_matches_the_scalar_from_the_offset():
     assert a003071_terms(1, 2**17) == [a003071(n) for n in range(1, 2**17)]
 
 
-# windows that start high take the scalar for every term, and windows that
-# straddle a power of two switch blocks inside the window
+# windows that start high read a(r) from their own lower windows, and windows
+# that straddle a power of two switch blocks inside the window
 @pytest.mark.parametrize(
     "start, stop",
     [
@@ -188,21 +188,28 @@ def test_a101925_is_a005187_plus_one():
 
 @pytest.mark.parametrize("n, expected", [(0, 0), (4, 9), (16, 119)])
 def test_a122248_examples(n, expected):
-    assert a122248_prefix(n + 1)[n] == expected
+    assert a122248_terms(n, n + 1) == [expected]
 
 
 def test_a122248_prefix_forms_agree():
+    assert a122248_terms(0, 17) == A122248_PREFIX
     assert a122248_prefix(17) == A122248_PREFIX
     assert list(accumulate(a113474_prefix(16), initial=0)) == A122248_PREFIX
 
 
+def test_a122248_first_term_matches_the_weight_sum():
+    # the closed form starts every window; each n here is a window of its own
+    for n in [*range(0, 3000, 7), *range(2**12 - 3, 2**12 + 4), 70_000]:
+        assert a122248_terms(n, n + 1) == [a122248_by_weights(n)], n
+
+
 def test_a122248_odd_at_odd_indices():
-    prefix = a122248_prefix(2**13)
+    prefix = a122248_terms(0, 2**13)
     assert all(prefix[n] % 2 == 1 for n in range(1, len(prefix), 2))
 
 
 def test_a122248_parity_complements_master_sequence():
-    prefix = a122248_prefix(2**14 + 1)
+    prefix = a122248_terms(0, 2**14 + 1)
     m_bits = master_prefix(2**14 + 1)
     assert all(prefix[n] % 2 == 1 - m_bits[n] for n in range(len(prefix)))
 

@@ -1,5 +1,7 @@
 """Relation checking and fitting against the master sequence."""
 
+import dataclasses
+
 import pytest
 
 from seqparity.catalogue import (
@@ -13,6 +15,9 @@ from seqparity.parity import master_m
 from seqparity.verify import (
     MAX_SHIFT,
     MISMATCH_SAMPLE_CAP,
+    W,
+    _pack,
+    _parity_word,
     check_relation,
     fit_relation,
     verify_all,
@@ -225,3 +230,24 @@ def test_claim_shifted_beyond_the_fit_window_is_checked_in_full():
     parities = [v & 1 for v in seq.terms(0, 67)]
     check = verify_sequences([seq], 66, 66).checks[0]
     assert check.claimed_mismatch_count == len(naive_mismatches(parities, 0, far, 66))
+
+
+# A102393 starts at 0 and A003071 at 1; both are cheap at 3W + 5
+@pytest.mark.parametrize("seq_id", ["A102393", "A003071"])
+@pytest.mark.parametrize("n_max", [W - 2, W - 1, W, W + 1, 3 * W + 5])
+def test_parity_word_equals_the_packed_list_of_the_whole_range(seq_id, n_max):
+    seq = CATALOGUE[seq_id]
+    windows = []
+
+    def terms(start, stop):
+        windows.append((start, stop))
+        return seq.terms(start, stop)
+
+    word = _parity_word(dataclasses.replace(seq, terms=terms), n_max)
+    assert word == _pack([v & 1 for v in seq.terms(seq.offset, n_max + 1)])
+    # the windows tile [offset, n_max], from the top down, each inside one [jW, (j+1)W)
+    tiles = sorted(windows)
+    assert windows == tiles[::-1]
+    assert tiles[0][0] == seq.offset and tiles[-1][1] == n_max + 1
+    assert all(left[1] == right[0] for left, right in zip(tiles, tiles[1:]))
+    assert all(start < stop and start // W == (stop - 1) // W for start, stop in tiles)

@@ -6,11 +6,14 @@ the parity relation as originally claimed, even where that claim turns out to
 be off by a shift.  The verifier reports claimed-versus-fitted side by side
 rather than silently correcting anything.
 
-Every range generator is a true window: it computes the terms it returns and
-no prefix of terms below them.  The convolutions, A122248 and A003071 cost the
-window's width times at most the bit length of its start; A092524 sieves with
-the primes up to sqrt(stop), and the lcm sums build their prime-power tables
-over [0, stop).
+Every range generator is a ``*_terms(start, stop)`` window in the module that
+owns its sequence, and computes the terms it returns and no prefix of terms
+below them.  Most cost O(width): one formula per index on its binary weight.
+The convolutions, A122248 and A003071 cost the window's width times at most the
+bit length of its start; A092524 sieves with the primes up to sqrt(stop), and
+the lcm sums build their prime-power tables over [0, stop).  The per-index
+scalars beside the windows are the public per-index API, and the tests' oracle
+for the windows.
 """
 
 from __future__ import annotations
@@ -18,16 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from . import convolution, digits, lcm_sums, nim, sorting
-from .parity import (
-    a228495,
-    binary_weight,
-    evil,
-    master_m,
-    odious,
-    thue_morse,
-    thue_morse_bar,
-)
+from . import convolution, digits, lcm_sums, nim, parity, sorting
 
 CHEAP = "cheap"
 BIGNUM_HEAVY = "bignum-heavy"
@@ -61,69 +55,60 @@ class SequenceDescriptor:
     cost_class: str = CHEAP
 
 
-def _pointwise(fn: Callable[[int], int]) -> Callable[[int, int], list[int]]:
-    """Range generator evaluating each index on its own."""
-
-    def terms(start: int, stop: int) -> list[int]:
-        return [fn(n) for n in range(start, stop)]
-
-    return terms
-
-
 _DESCRIPTORS = [
     SequenceDescriptor(
         id="A010060",
         offset=0,
-        terms=_pointwise(thue_morse),
+        terms=parity.thue_morse_terms,
         summary="Thue-Morse sequence t",
     ),
     SequenceDescriptor(
         id="A010059",
         offset=0,
-        terms=_pointwise(thue_morse_bar),
+        terms=parity.thue_morse_bar_terms,
         summary="negated Thue-Morse sequence tbar",
     ),
     SequenceDescriptor(
         id="A001969",
         offset=1,
-        terms=_pointwise(evil),
+        terms=parity.evil_terms,
         summary="evil numbers (even binary weight)",
     ),
     SequenceDescriptor(
         id="A000069",
         offset=1,
-        terms=_pointwise(odious),
+        terms=parity.odious_terms,
         summary="odious numbers (odd binary weight)",
     ),
     SequenceDescriptor(
         id="m",
         offset=0,
-        terms=_pointwise(master_m),
+        terms=parity.master_m_terms,
         summary="master sequence: alternate merge of tbar with zeros",
     ),
     SequenceDescriptor(
         id="A228495",
         offset=1,
-        terms=_pointwise(a228495),
+        terms=parity.a228495_terms,
         summary="characteristic function of odd odious numbers",
     ),
     SequenceDescriptor(
         id="A128975",
         offset=1,
-        terms=_pointwise(nim.a128975_closed),
+        terms=nim.a128975_terms,
         summary="unordered three-heap Nim P-positions with non-zero heaps",
         claimed=ParityRelation(shift=0, complement=False),
     ),
     SequenceDescriptor(
         id="A048883",
         offset=0,
-        terms=_pointwise(lambda n: 3 ** binary_weight(n)),
+        terms=parity.a048883_terms,
         summary="3 raised to the binary weight of n",
     ),
     SequenceDescriptor(
         id="A102393",
         offset=0,
-        terms=_pointwise(digits.a102393),
+        terms=digits.a102393_terms,
         summary="wicked evil sequence: n+1 at evil n, else 0",
         claimed=ParityRelation(shift=0, complement=False),
     ),
@@ -137,7 +122,7 @@ _DESCRIPTORS = [
     SequenceDescriptor(
         id="A001285",
         offset=0,
-        terms=_pointwise(convolution.a001285),
+        terms=convolution.a001285_terms,
         summary="Thue-Morse sequence over {1, 2}",
     ),
     SequenceDescriptor(
@@ -157,7 +142,7 @@ _DESCRIPTORS = [
     SequenceDescriptor(
         id="A104258",
         offset=1,
-        terms=_pointwise(digits.a104258),
+        terms=digits.a104258_terms,
         summary="binary digits of n read in base n",
         claimed=ParityRelation(shift=1, complement=False),
     ),
@@ -187,7 +172,7 @@ _DESCRIPTORS = [
     SequenceDescriptor(
         id="A001855",
         offset=1,
-        terms=_pointwise(sorting.a001855),
+        terms=sorting.a001855_terms,
         summary="worst-case comparisons for binary-insertion sorting",
     ),
     SequenceDescriptor(
@@ -200,19 +185,19 @@ _DESCRIPTORS = [
     SequenceDescriptor(
         id="A113474",
         offset=1,
-        terms=_pointwise(sorting.a113474),
+        terms=sorting.a113474_terms,
         summary="a(n) = a(n//2) + n//2, a(1) = 1",
     ),
     SequenceDescriptor(
         id="A101925",
         offset=0,
-        terms=_pointwise(sorting.a101925),
+        terms=sorting.a101925_terms,
         summary="b(k) = b(k//2) + k, b(0) = 1",
     ),
     SequenceDescriptor(
         id="A005187",
         offset=0,
-        terms=_pointwise(sorting.a005187),
+        terms=sorting.a005187_terms,
         summary="2-adic valuation of (2n)!",
     ),
 ]

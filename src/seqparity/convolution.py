@@ -40,6 +40,13 @@ def a001285(n: int) -> int:
     return 2 - thue_morse_bar(n)
 
 
+def a001285_terms(start: int, stop: int) -> list[int]:
+    """Window of a001285: 1 + t(n)."""
+    if start < 0:
+        raise ValueError(f"a001285 is defined for n >= 0, got {start}")
+    return [1 + (n.bit_count() & 1) for n in range(start, stop)]
+
+
 def _halve(out: list[int], below: list[int], k_lo: int, k_hi: int) -> None:
     """Append a(2k), a(2k+1) for k = k_lo .. k_hi - 1 to out, reading a(k - 1)
     and a(k) from below, whose first term is a(k_lo - 1).  below may be out

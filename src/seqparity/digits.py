@@ -92,9 +92,15 @@ def a092524_terms(start: int, stop: int) -> list[int]:
     if start < 1:
         raise ValueError(f"a092524 is defined for n >= 1, got {start}")
     spf = _spf_window(start, stop)
-    # an entry left at 0 is a prime, read in its own base, or n = 1, which
-    # any base reads as 1
-    return [reinterpret_binary(n, p or n) for n, p in zip(range(start, stop), spf)]
+    # an even n read in base 2 is n itself, and a base int() parses is read
+    # inline; an entry left at 0 is a prime, read in its own base, or n = 1,
+    # which any base reads as 1
+    return [
+        n if not n & 1
+        else int(format(n, "b"), p) if 3 <= p <= 36
+        else reinterpret_binary(n, p or n)
+        for n, p in zip(range(start, stop), spf)
+    ]
 
 
 def a092524(n: int) -> int:
@@ -112,8 +118,22 @@ def a104258(n: int) -> int:
     return reinterpret_binary(n, n)
 
 
+def a104258_terms(start: int, stop: int) -> list[int]:
+    """Window of a104258."""
+    if start < 1:
+        raise ValueError(f"a104258 is defined for n >= 1, got {start}")
+    return [reinterpret_binary(n, n) for n in range(start, stop)]
+
+
 def a102393(n: int) -> int:
     """The wicked evil sequence: n + 1 at evil positions, 0 at odious ones."""
     if n < 0:
         raise ValueError(f"a102393 is defined for n >= 0, got {n}")
     return 0 if thue_morse(n) else n + 1
+
+
+def a102393_terms(start: int, stop: int) -> list[int]:
+    """Window of a102393: n + 1 where the binary weight of n is even, else 0."""
+    if start < 0:
+        raise ValueError(f"a102393 is defined for n >= 0, got {start}")
+    return [0 if n.bit_count() & 1 else n + 1 for n in range(start, stop)]

@@ -15,3 +15,13 @@ def a128975_closed(n: int) -> int:
     if n & 1:
         return 0
     return (3 ** (binary_weight(n // 2) - 1) - 1) // 2
+
+
+def a128975_terms(start: int, stop: int) -> list[int]:
+    """Window of a128975_closed.  An even n has the binary weight w of n/2,
+    so its term is read from a table of (3**(w-1) - 1) / 2; an even n below
+    stop has w < stop.bit_length()."""
+    if start < 1:
+        raise ValueError(f"a128975 is defined for n >= 1, got {start}")
+    half = [0, *((3 ** (w - 1) - 1) // 2 for w in range(1, stop.bit_length()))]
+    return [0 if n & 1 else half[n.bit_count()] for n in range(start, stop)]

@@ -3,6 +3,9 @@
 The master sequence m is the alternate merge of the negated Thue-Morse
 sequence with zeros: m(2k) = tbar(k), m(2k+1) = 0.  Every parity relation
 checked elsewhere in this package is stated against m.
+
+Each scalar has a ``*_terms(start, stop)`` window beside it, the values at
+n = start .. stop - 1, with the scalar's formula written on ``n.bit_count()``.
 """
 
 from __future__ import annotations
@@ -61,6 +64,55 @@ def a228495(n: int) -> int:
     if n < 1:
         raise ValueError(f"a228495 is defined for n >= 1, got {n}")
     return 1 if (n & 1) and thue_morse(n) == 1 else 0
+
+
+def thue_morse_terms(start: int, stop: int) -> list[int]:
+    """Window of t, A010060."""
+    if start < 0:
+        raise ValueError(f"the Thue-Morse sequence is defined for n >= 0, got {start}")
+    return [n.bit_count() & 1 for n in range(start, stop)]
+
+
+def thue_morse_bar_terms(start: int, stop: int) -> list[int]:
+    """Window of tbar, A010059."""
+    if start < 0:
+        raise ValueError(f"the negated Thue-Morse sequence is defined for n >= 0, got {start}")
+    return [~n.bit_count() & 1 for n in range(start, stop)]
+
+
+def evil_terms(start: int, stop: int) -> list[int]:
+    """Window of the evil numbers, A001969: 2j + t(j) for j = k - 1."""
+    if start < 1:
+        raise ValueError(f"evil numbers are 1-indexed, got k={start}")
+    return [2 * j + (j.bit_count() & 1) for j in range(start - 1, stop - 1)]
+
+
+def odious_terms(start: int, stop: int) -> list[int]:
+    """Window of the odious numbers, A000069: 2j + tbar(j) for j = k - 1."""
+    if start < 1:
+        raise ValueError(f"odious numbers are 1-indexed, got k={start}")
+    return [2 * j + (~j.bit_count() & 1) for j in range(start - 1, stop - 1)]
+
+
+def master_m_terms(start: int, stop: int) -> list[int]:
+    """Window of m: 0 at odd n, and tbar(n/2) = tbar(n) at even n."""
+    if start < 0:
+        raise ValueError(f"master sequence is defined for n >= 0, got {start}")
+    return [0 if n & 1 else ~n.bit_count() & 1 for n in range(start, stop)]
+
+
+def a228495_terms(start: int, stop: int) -> list[int]:
+    """Window of A228495: the low bits of n and of its binary weight, both set."""
+    if start < 1:
+        raise ValueError(f"a228495 is defined for n >= 1, got {start}")
+    return [n & n.bit_count() & 1 for n in range(start, stop)]
+
+
+def a048883_terms(start: int, stop: int) -> list[int]:
+    """Window of A048883, 3 raised to the binary weight of n."""
+    if start < 0:
+        raise ValueError(f"a048883 is defined for n >= 0, got {start}")
+    return [3 ** n.bit_count() for n in range(start, stop)]
 
 
 def master_prefix(length: int) -> list[int]:

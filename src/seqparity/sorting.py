@@ -4,7 +4,7 @@ and the halving-recursion chain A113474 / A101925 / A005187 / A122248."""
 from __future__ import annotations
 
 from itertools import accumulate, islice
-from operator import add
+from operator import add, sub
 
 from .parity import binary_weight
 
@@ -90,6 +90,13 @@ def a001855(n: int) -> int:
     return n * k - (1 << k) + 1
 
 
+def a001855_terms(start: int, stop: int) -> list[int]:
+    """Window of a001855."""
+    if start < 1:
+        raise ValueError(f"a001855 is defined for n >= 1, got {start}")
+    return [n * (k := (n - 1).bit_length()) - (1 << k) + 1 for n in range(start, stop)]
+
+
 def a113474(n: int) -> int:
     """a(n) = a(n//2) + n//2 with a(1) = 1.
 
@@ -98,6 +105,13 @@ def a113474(n: int) -> int:
     if n < 1:
         raise ValueError(f"a113474 is defined for n >= 1, got {n}")
     return n - n.bit_count() + 1
+
+
+def a113474_terms(start: int, stop: int) -> list[int]:
+    """Window of a113474."""
+    if start < 1:
+        raise ValueError(f"a113474 is defined for n >= 1, got {start}")
+    return [n - n.bit_count() + 1 for n in range(start, stop)]
 
 
 def a101925(k: int) -> int:
@@ -110,11 +124,25 @@ def a101925(k: int) -> int:
     return 2 * k - k.bit_count() + 1
 
 
+def a101925_terms(start: int, stop: int) -> list[int]:
+    """Window of a101925."""
+    if start < 0:
+        raise ValueError(f"a101925 is defined for k >= 0, got {start}")
+    return [2 * k - k.bit_count() + 1 for k in range(start, stop)]
+
+
 def a005187(n: int) -> int:
     """2-adic valuation of (2n)!, which telescopes to 2n - binary_weight(n)."""
     if n < 0:
         raise ValueError(f"a005187 is defined for n >= 0, got {n}")
     return 2 * n - binary_weight(n)
+
+
+def a005187_terms(start: int, stop: int) -> list[int]:
+    """Window of a005187."""
+    if start < 0:
+        raise ValueError(f"a005187 is defined for n >= 0, got {start}")
+    return [2 * n - n.bit_count() for n in range(start, stop)]
 
 
 def a122248_terms(start: int, stop: int) -> list[int]:
@@ -138,4 +166,7 @@ def a122248_terms(start: int, stop: int) -> list[int]:
         for j in range(m.bit_length())
     )
     first = start * (start + 3) // 2 - weights
-    return list(accumulate(map(a113474, range(start + 1, stop)), initial=first))
+    # a113474(k) = k + 1 - binary_weight(k) for k = start + 1 .. stop - 1, fed
+    # lazily, so that no second list as wide as the window is held
+    gains = map(sub, range(start + 2, stop + 1), map(int.bit_count, range(start + 1, stop)))
+    return list(accumulate(gains, initial=first))

@@ -35,7 +35,7 @@ _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 def _pack(bits: list[int]) -> int:
     """The 0/1 list as one int whose bit i is bits[i]."""
-    return int(bytes(reversed(bits)).translate(_BINARY_DIGITS) or b"0", 2)
+    return int(bytes(bits)[::-1].translate(_BINARY_DIGITS) or b"0", 2)
 
 
 def _set_bits(word: int, cap: int | None = None) -> list[int]:

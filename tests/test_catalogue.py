@@ -1,13 +1,21 @@
 """The range contract every catalogue generator keeps."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import a029886_prefix, a122248_prefix, a247303_prefix
+from seqparity import convolution, digits, nim, parity, sorting
 from seqparity.catalogue import CATALOGUE
+from seqparity.digits import reinterpret_binary, smallest_prime_factor
 from seqparity.sorting import a003071
 from seqparity.verify import W
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 # (start, stop) relative to the offset; the empty window included
 WINDOWS = [(0, 1), (0, 24), (3, 24), (17, 40), (5, 5)]
@@ -84,3 +92,107 @@ def test_drawn_windows_below_the_limit_match(windowed, start, width):
     seq, prefix = windowed
     stop = min(start + width, LIMIT + 1)
     assert seq.terms(start, stop) == prefix[start:stop]
+
+
+# The windows that evaluate one formula per index, each against its per-index
+# scalar; A092524's scalar is its own one-term window, so its oracle re-reads
+# the binary digits of n in the base of n's smallest prime factor.
+SCALARS = {
+    "A010060": parity.thue_morse,
+    "A010059": parity.thue_morse_bar,
+    "A001969": parity.evil,
+    "A000069": parity.odious,
+    "m": parity.master_m,
+    "A228495": parity.a228495,
+    "A048883": lambda n: 3 ** parity.binary_weight(n),
+    "A128975": nim.a128975_closed,
+    "A102393": digits.a102393,
+    "A001285": convolution.a001285,
+    "A104258": digits.a104258,
+    "A001855": sorting.a001855,
+    "A113474": sorting.a113474,
+    "A101925": sorting.a101925,
+    "A005187": sorting.a005187,
+    # any base reads n = 1 as 1
+    "A092524": lambda n: reinterpret_binary(n, smallest_prime_factor(n) if n > 1 else 2),
+}
+
+
+@pytest.mark.parametrize("seq_id", sorted(SCALARS))
+def test_every_window_from_a_small_start_matches_the_scalar(seq_id):
+    seq, scalar = CATALOGUE[seq_id], SCALARS[seq_id]
+    values = [scalar(n) for n in range(seq.offset, 240)]
+    for start in range(seq.offset, 200):
+        for stop in range(start, start + 40):
+            expected = values[start - seq.offset : stop - seq.offset]
+            assert seq.terms(start, stop) == expected, (start, stop)
+
+
+@pytest.mark.parametrize("seq_id", sorted(SCALARS))
+def test_windows_across_powers_of_two_and_multiples_of_w_match_the_scalar(seq_id):
+    seq, scalar = CATALOGUE[seq_id], SCALARS[seq_id]
+    for start, stop in STRADDLING:
+        assert seq.terms(start, stop) == [scalar(n) for n in range(start, stop)], (start, stop)
+
+
+# past 2**32, just below 2**40, and where binary weights pass 64
+DEEP_STARTS = [10**12, 2**40 - 2048, 2**200]
+
+
+@pytest.mark.parametrize("seq_id", sorted(SCALARS.keys() - {"A092524"}))
+def test_deep_windows_match_the_scalar(seq_id):
+    seq, scalar = CATALOGUE[seq_id], SCALARS[seq_id]
+    for start in DEEP_STARTS:
+        stop = start + 300
+        assert seq.terms(start, stop) == [scalar(n) for n in range(start, stop)], start
+
+
+def test_a092524_deep_windows_match_the_scalar():
+    # the smallest prime factors near 2**200 would need factoring
+    scalar = SCALARS["A092524"]
+    for start in DEEP_STARTS[:2]:
+        stop = start + 64
+        assert CATALOGUE["A092524"].terms(start, stop) == [
+            scalar(n) for n in range(start, stop)
+        ], start
+
+
+def test_a092524_window_at_one_even_n_and_primes_above_36():
+    window = CATALOGUE["A092524"].terms(1, 200)
+    assert window[0] == 1
+    assert all(window[n - 1] == n for n in range(2, 200, 2))
+    for p in (37, 41, 43, 47, 193, 197, 199):
+        assert window[p - 1] == reinterpret_binary(p, p), p
+    # 2**31 - 1 and 10**12 + 39 are prime
+    for p in (2**31 - 1, 10**12 + 39):
+        window = CATALOGUE["A092524"].terms(p - 2, p + 2)
+        assert window == [SCALARS["A092524"](n) for n in range(p - 2, p + 2)], p
+        assert window[1:] == [p - 1, reinterpret_binary(p, p), p + 1], p
+
+
+# The layer each generator's time counts under in the benchmark's traces:
+# the module that defines it, never the catalogue, whose name is taken by
+# the catalogue.terms_s total.
+LAYERS = {
+    **dict.fromkeys(
+        ["A010060", "A010059", "A001969", "A000069", "m", "A228495", "A048883"], "parity"
+    ),
+    "A128975": "nim",
+    **dict.fromkeys(["A102393", "A092524", "A104258"], "digits"),
+    **dict.fromkeys(["A029886", "A001285", "A247303"], "convolution"),
+    **dict.fromkeys(["A061297", "A093431"], "lcm_sums"),
+    **dict.fromkeys(
+        ["A003071", "A001855", "A122248", "A113474", "A101925", "A005187"], "sorting"
+    ),
+}
+
+
+def test_each_generator_counts_under_the_module_that_owns_it(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read the benchmark, write nothing
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclass looks itself up
+    spec.loader.exec_module(tracing)
+    layers = {sid: tracing.generator_layer(seq.terms) for sid, seq in CATALOGUE.items()}
+    assert layers == LAYERS
+    assert "catalogue" not in layers.values()

@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import __version__, catalogue, oeis
 from .verify import verify_sequences
@@ -117,6 +118,56 @@ def _add_network_flags(parser: argparse.ArgumentParser) -> None:
                         help="allow fetching b-files from oeis.org")
 
 
+def _add_verify_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("target", help="sequence id or 'all'")
+    parser.add_argument("--n-max", type=int, default=DEFAULT_N_MAX_CHEAP,
+                        help=f"range bound for cheap sequences (default {DEFAULT_N_MAX_CHEAP})")
+    parser.add_argument("--n-max-heavy", type=int, default=DEFAULT_N_MAX_HEAVY,
+                        help=f"range bound for big-integer sequences "
+                             f"(default {DEFAULT_N_MAX_HEAVY})")
+    parser.add_argument("--format", choices=["plain", "json"], default="plain")
+    parser.add_argument("--timings", action="store_true",
+                        help="write each sequence's generation and fit/check seconds "
+                             "to stderr")
+
+
+def _add_check_bfile_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("id", help="OEIS sequence id")
+    parser.add_argument("--file", default=None,
+                        help="b-file path, or 'fetch' to retrieve; default: bundled fixture")
+    parser.add_argument("--limit", type=int, default=10_000,
+                        help="maximum number of rows to compare")
+    _add_network_flags(parser)
+
+
+def _add_fetch_bfile_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("id", help="OEIS sequence id")
+    _add_network_flags(parser)
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that adds its own arguments when it first parses.
+
+    argparse's subparsers action calls `parse_known_args` on the one subparser
+    a command line names, so a command builds the arguments of that subcommand
+    and no other.  The top-level help needs only each subparser's name and
+    help string.  Nothing is kept between parsers: each `build_parser` call
+    starts with no subcommand's arguments.
+    """
+
+    def __init__(
+        self, *, add_arguments: Callable[[argparse.ArgumentParser], None], **kwargs
+    ) -> None:
+        super().__init__(**kwargs)
+        self._add_arguments: Callable[[argparse.ArgumentParser], None] | None = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add_arguments, self._add_arguments = self._add_arguments, None
+            add_arguments(self)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqparity",
@@ -124,42 +175,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "against the master sequence.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="print terms of a catalogued sequence")
-    _add_generation_flags(gen)
-    gen.set_defaults(func=cmd_gen)
-
-    par = sub.add_parser("parity", help="print the parity bits of a sequence's terms")
-    _add_generation_flags(par)
-    par.set_defaults(func=cmd_gen)
-
-    ver = sub.add_parser("verify", help="check claimed parity relations and fit the true ones")
-    ver.add_argument("target", help="sequence id or 'all'")
-    ver.add_argument("--n-max", type=int, default=DEFAULT_N_MAX_CHEAP,
-                     help=f"range bound for cheap sequences (default {DEFAULT_N_MAX_CHEAP})")
-    ver.add_argument("--n-max-heavy", type=int, default=DEFAULT_N_MAX_HEAVY,
-                     help=f"range bound for big-integer sequences (default {DEFAULT_N_MAX_HEAVY})")
-    ver.add_argument("--format", choices=["plain", "json"], default="plain")
-    ver.add_argument("--timings", action="store_true",
-                     help="write each sequence's generation and fit/check seconds "
-                          "to stderr")
-    ver.set_defaults(func=cmd_verify)
-
-    chk = sub.add_parser("check-bfile", help="cross-check a generator against b-file data")
-    chk.add_argument("id", help="OEIS sequence id")
-    chk.add_argument("--file", default=None,
-                     help="b-file path, or 'fetch' to retrieve; default: bundled fixture")
-    chk.add_argument("--limit", type=int, default=10_000,
-                     help="maximum number of rows to compare")
-    _add_network_flags(chk)
-    chk.set_defaults(func=cmd_check_bfile)
-
-    fetch = sub.add_parser("fetch-bfile", help="print a sequence's b-file, caching it locally")
-    fetch.add_argument("id", help="OEIS sequence id")
-    _add_network_flags(fetch)
-    fetch.set_defaults(func=cmd_fetch_bfile)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    for name, help_text, add_arguments, func in (
+        ("gen", "print terms of a catalogued sequence", _add_generation_flags, cmd_gen),
+        ("parity", "print the parity bits of a sequence's terms", _add_generation_flags, cmd_gen),
+        ("verify", "check claimed parity relations and fit the true ones",
+         _add_verify_args, cmd_verify),
+        ("check-bfile", "cross-check a generator against b-file data",
+         _add_check_bfile_args, cmd_check_bfile),
+        ("fetch-bfile", "print a sequence's b-file, caching it locally",
+         _add_fetch_bfile_args, cmd_fetch_bfile),
+    ):
+        sub.add_parser(name, help=help_text, add_arguments=add_arguments).set_defaults(func=func)
     return parser
 
 

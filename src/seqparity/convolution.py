@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from itertools import count, islice
 
-from .parity import thue_morse, thue_morse_bar
+from .parity import thue_morse_bar
 
 
 def a001285(n: int) -> int:
@@ -52,7 +52,7 @@ def _halve(out: list[int], below: list[int], k_lo: int, k_hi: int) -> None:
     and a(k) from below, whose first term is a(k_lo - 1).  below may be out
     itself, when its terms come far enough ahead of the ones appended."""
     for k, prev, a in zip(range(k_lo, k_hi), below, islice(below, 1, None)):
-        s, odd = 1 - 2 * thue_morse(k), k & 1
+        s, odd = 1 - 2 * (k.bit_count() & 1), k & 1
         out.append(a + prev + odd * s)
         out.append(k + 1 - 2 * a + (1 - odd) * s)
 
@@ -97,7 +97,7 @@ def a029886_terms(start: int, stop: int) -> list[int]:
     if start < 0:
         raise ValueError(f"a029886 is defined for n >= 0, got {start}")
     return [
-        a + 2 * n + (2 if n & 1 else 4 * thue_morse(n))
+        a + 2 * n + (2 if n & 1 else 4 * (n.bit_count() & 1))
         for n, a in zip(count(start), a247303_terms(start, stop))
     ]
 

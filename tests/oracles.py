@@ -7,11 +7,13 @@ production route.  Binary words are plain strings over {"0", "1"}.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
 from typing import Iterable, Mapping
 
+from seqparity import __version__, cli
 from seqparity.parity import master_m, thue_morse, thue_morse_bar
 
 
@@ -342,3 +344,69 @@ def quotient_term_is_odd(n: int, r: int) -> bool:
         window_v2 = j
         j += 1
     return window_v2 == r.bit_length() - 1
+
+
+def build_parser_eager() -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand's arguments added up front, as the
+    reference for the parser that adds them on a subcommand's first parse."""
+    def add_generation_flags(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument("id",
+                            help="sequence id (e.g. A061297, or 'm' for the master sequence)")
+        parser.add_argument("--from", dest="start", type=int, default=None,
+                            help="first index to emit (default: the sequence offset)")
+        parser.add_argument("--count", type=int, default=20, help="number of terms")
+        parser.add_argument("--format", choices=["plain", "bfile", "json"],
+                            default="plain", help="output format")
+
+    def add_network_flags(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument("--cache-dir", default=None,
+                            help="b-file cache directory (default: $SEQPARITY_CACHE_DIR "
+                                 "or ~/.cache/seqparity)")
+        parser.add_argument("--offline", dest="offline", action="store_true", default=True,
+                            help="never touch the network (default)")
+        parser.add_argument("--online", dest="offline", action="store_false",
+                            help="allow fetching b-files from oeis.org")
+
+    parser = argparse.ArgumentParser(
+        prog="seqparity",
+        description="Generate integer sequences and verify their parity relations "
+                    "against the master sequence.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    gen = sub.add_parser("gen", help="print terms of a catalogued sequence")
+    add_generation_flags(gen)
+    gen.set_defaults(func=cli.cmd_gen)
+
+    par = sub.add_parser("parity", help="print the parity bits of a sequence's terms")
+    add_generation_flags(par)
+    par.set_defaults(func=cli.cmd_gen)
+
+    ver = sub.add_parser("verify", help="check claimed parity relations and fit the true ones")
+    ver.add_argument("target", help="sequence id or 'all'")
+    ver.add_argument("--n-max", type=int, default=4096,
+                     help="range bound for cheap sequences (default 4096)")
+    ver.add_argument("--n-max-heavy", type=int, default=512,
+                     help="range bound for big-integer sequences (default 512)")
+    ver.add_argument("--format", choices=["plain", "json"], default="plain")
+    ver.add_argument("--timings", action="store_true",
+                     help="write each sequence's generation and fit/check seconds "
+                          "to stderr")
+    ver.set_defaults(func=cli.cmd_verify)
+
+    chk = sub.add_parser("check-bfile", help="cross-check a generator against b-file data")
+    chk.add_argument("id", help="OEIS sequence id")
+    chk.add_argument("--file", default=None,
+                     help="b-file path, or 'fetch' to retrieve; default: bundled fixture")
+    chk.add_argument("--limit", type=int, default=10_000,
+                     help="maximum number of rows to compare")
+    add_network_flags(chk)
+    chk.set_defaults(func=cli.cmd_check_bfile)
+
+    fetch = sub.add_parser("fetch-bfile", help="print a sequence's b-file, caching it locally")
+    fetch.add_argument("id", help="OEIS sequence id")
+    add_network_flags(fetch)
+    fetch.set_defaults(func=cli.cmd_fetch_bfile)
+
+    return parser

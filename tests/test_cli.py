@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import errno
 import http.client
@@ -16,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import a029886_by_digits, a247303_by_digits
+from oracles import a029886_by_digits, a247303_by_digits, build_parser_eager
 from seqparity import oeis
 from seqparity.catalogue import CATALOGUE, parity_catalogue
-from seqparity.cli import main
+from seqparity.cli import build_parser, main
 from seqparity.lcm_sums import a061297
 from seqparity.parity import master_m
 from seqparity.sorting import a003071, a113474
@@ -464,6 +465,58 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["gen"])  # missing required id
     assert excinfo.value.code == 2
+
+
+def _parse(capsys, parser: argparse.ArgumentParser, argv: list[str]):
+    """Exit code, stdout, stderr and parsed namespace (None on exit) of one parse."""
+    try:
+        namespace = vars(parser.parse_args(argv))
+        code = 0
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["--version"],
+    *([command, "--help"]
+      for command in ("gen", "parity", "verify", "check-bfile", "fetch-bfile")),
+    [],
+    ["bogus"],
+    ["gen"],
+    ["gen", "A010060", "--count", "x"],
+    ["verify", "all", "--format", "xml"],
+    ["verify", "all", "--bogus"],
+    ["gen", "A010060", "--version"],
+    ["gen", "A010060", "--from", "3", "--count", "4", "--format", "json"],
+    ["parity", "m"],
+    ["verify", "all", "--n-max", "64", "--n-max-heavy", "32", "--timings"],
+    ["check-bfile", "A128975", "--file", "b.txt", "--limit", "5", "--online"],
+    ["fetch-bfile", "A010060", "--cache-dir", "cache"],
+], ids=lambda argv: " ".join(argv) or "no command")
+def test_the_parser_matches_the_eager_reference(capsys, argv):
+    # help, version, usage errors and exit codes byte for byte, and the namespace
+    expected = _parse(capsys, build_parser_eager(), argv)
+    assert _parse(capsys, build_parser(), argv) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "A010060"],
+    ["parity", "A010060"],
+    ["verify", "all"],
+    ["check-bfile", "A128975"],
+    ["fetch-bfile", "A128975"],
+], ids=" ".join)
+def test_a_command_builds_only_its_own_subcommands_arguments(argv):
+    parser = build_parser()
+    (subparsers,) = (action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction))
+    parser.parse_args(argv)
+    # a subparser that never parsed holds only its -h
+    built = {name for name, sub in subparsers.choices.items() if len(sub._actions) > 1}
+    assert built == {argv[0]}
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Callable
 
 from . import __version__, catalogue, oeis
 from .verify import verify_sequences
@@ -48,13 +47,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.target == "all":
-        sequences = catalogue.parity_catalogue()
-    else:
-        seq = catalogue.get(args.target)
-        if seq.claimed is None:
-            raise ValueError(f"no parity relation is catalogued for {seq.id}")
-        sequences = [seq]
+    sequences = (catalogue.parity_catalogue() if args.target == "all"
+                 else [catalogue.get(args.target)])
     report = verify_sequences(sequences, args.n_max, args.n_max_heavy)
     if args.format == "json":
         import json
@@ -145,48 +139,42 @@ def _add_fetch_bfile_args(parser: argparse.ArgumentParser) -> None:
     _add_network_flags(parser)
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser that adds its own arguments when it first parses.
+# name, help, the function adding the subcommand's arguments, and the command
+_SUBCOMMANDS = (
+    ("gen", "print terms of a catalogued sequence", _add_generation_flags, cmd_gen),
+    ("parity", "print the parity bits of a sequence's terms", _add_generation_flags, cmd_gen),
+    ("verify", "check claimed parity relations and fit the true ones",
+     _add_verify_args, cmd_verify),
+    ("check-bfile", "cross-check a generator against b-file data",
+     _add_check_bfile_args, cmd_check_bfile),
+    ("fetch-bfile", "print a sequence's b-file, caching it locally",
+     _add_fetch_bfile_args, cmd_fetch_bfile),
+)
 
-    argparse's subparsers action calls `parse_known_args` on the one subparser
-    a command line names, so a command builds the arguments of that subcommand
-    and no other.  The top-level help needs only each subparser's name and
-    help string.  Nothing is kept between parsers: each `build_parser` call
-    starts with no subcommand's arguments.
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, holding the arguments of the subcommand argv names only.
+
+    Every subcommand is added with its name and help, which is all the
+    top-level help shows; only the one argv names gets its own arguments.
+    That is the first word of argv that is a subcommand name: no top-level
+    option takes a value, so no earlier word can be anything but an option.
+    With no argv, no subcommand gets its arguments.
     """
-
-    def __init__(
-        self, *, add_arguments: Callable[[argparse.ArgumentParser], None], **kwargs
-    ) -> None:
-        super().__init__(**kwargs)
-        self._add_arguments: Callable[[argparse.ArgumentParser], None] | None = add_arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._add_arguments is not None:
-            add_arguments, self._add_arguments = self._add_arguments, None
-            add_arguments(self)
-        return super().parse_known_args(args, namespace)
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqparity",
         description="Generate integer sequences and verify their parity relations "
                     "against the master sequence.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
-    for name, help_text, add_arguments, func in (
-        ("gen", "print terms of a catalogued sequence", _add_generation_flags, cmd_gen),
-        ("parity", "print the parity bits of a sequence's terms", _add_generation_flags, cmd_gen),
-        ("verify", "check claimed parity relations and fit the true ones",
-         _add_verify_args, cmd_verify),
-        ("check-bfile", "cross-check a generator against b-file data",
-         _add_check_bfile_args, cmd_check_bfile),
-        ("fetch-bfile", "print a sequence's b-file, caching it locally",
-         _add_fetch_bfile_args, cmd_fetch_bfile),
-    ):
-        sub.add_parser(name, help=help_text, add_arguments=add_arguments).set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    names = {name for name, *_ in _SUBCOMMANDS}
+    command = next((word for word in argv or () if word in names), None)
+    for name, help_text, add_arguments, func in _SUBCOMMANDS:
+        subparser = sub.add_parser(name, help=help_text)
+        subparser.set_defaults(func=func)
+        if name == command:
+            add_arguments(subparser)
     return parser
 
 
@@ -207,7 +195,9 @@ def _drop_unwritable_stdout() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     # exact terms outgrow the interpreter's int/str conversion limit (4300
     # digits since 3.11): lift it while the command runs, for writing values
     # and for reading b-file rows, and give the caller's limit back after

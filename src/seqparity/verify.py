@@ -129,7 +129,7 @@ class SequenceCheck:
     sequence_id: str
     offset: int
     n_max: int
-    claimed: ParityRelation | None
+    claimed: ParityRelation
     claimed_mismatch_count: int = 0
     claimed_mismatch_sample: list[int] = field(default_factory=list)
     fitted: ParityRelation | None = None
@@ -139,7 +139,7 @@ class SequenceCheck:
 
     @property
     def claimed_passed(self) -> bool | None:
-        if self.claimed is None or self.error is not None:
+        if self.error is not None:
             return None
         return self.claimed_mismatch_count == 0
 
@@ -169,7 +169,6 @@ class SequenceCheck:
         if self.error is not None:
             return f"{self.sequence_id}  error: {self.error}"
         status = "PASS" if self.claimed_passed else "FAIL"
-        claimed = self.claimed.describe() if self.claimed else "none"
         if self.fitted is None:
             fitted = "fitted: none"
         else:
@@ -179,7 +178,7 @@ class SequenceCheck:
                 f"[{self.fitted.describe()}]"
             )
         return (
-            f"{self.sequence_id}  claimed: {status} [{claimed}]  {fitted}  "
+            f"{self.sequence_id}  claimed: {status} [{self.claimed.describe()}]  {fitted}  "
             f"range: {self.offset}..{self.n_max}  "
             f"mismatches: {self.claimed_mismatch_count}"
         )
@@ -219,16 +218,15 @@ def _check_sequence(seq: SequenceDescriptor, n_max: int) -> SequenceCheck:
         sequence_id=seq.id, offset=seq.offset, n_max=n_max, claimed=seq.claimed
     )
     try:
-        reach = max(MAX_SHIFT, abs(seq.claimed.shift)) if seq.claimed else MAX_SHIFT
+        reach = max(MAX_SHIFT, abs(seq.claimed.shift))
         started = perf_counter()
         parities = _parity_word(seq, n_max)
         generated = perf_counter()
         check.generate_s = generated - started
         packed = _PackedParities(seq.offset, n_max, parities, reach)
-        if seq.claimed is not None:
-            bad = packed.mismatches(seq.claimed)
-            check.claimed_mismatch_count = bad.bit_count()
-            check.claimed_mismatch_sample = _set_bits(bad, MISMATCH_SAMPLE_CAP)
+        bad = packed.mismatches(seq.claimed)
+        check.claimed_mismatch_count = bad.bit_count()
+        check.claimed_mismatch_sample = _set_bits(bad, MISMATCH_SAMPLE_CAP)
         check.fitted = packed.fit()
         check.fit_s = perf_counter() - generated
     except Exception as exc:  # aggregate failures instead of aborting the run
@@ -239,7 +237,11 @@ def _check_sequence(seq: SequenceDescriptor, n_max: int) -> SequenceCheck:
 def verify_sequences(
     sequences: list[SequenceDescriptor], n_max_cheap: int, n_max_heavy: int
 ) -> VerificationReport:
-    """Check and fit each given sequence, choosing the range by cost class."""
+    """Check each given sequence's claim and fit its relation, choosing the
+    range by cost class; every sequence must carry a claimed relation."""
+    for seq in sequences:
+        if seq.claimed is None:
+            raise ValueError(f"no parity relation is catalogued for {seq.id}")
     if n_max_cheap < 32 or n_max_heavy < 32:
         raise ValueError("verification ranges must be at least 32")
     report = VerificationReport(n_max_cheap=n_max_cheap, n_max_heavy=n_max_heavy)

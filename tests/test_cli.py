@@ -495,11 +495,24 @@ def _parse(capsys, parser: argparse.ArgumentParser, argv: list[str]):
     ["verify", "all", "--n-max", "64", "--n-max-heavy", "32", "--timings"],
     ["check-bfile", "A128975", "--file", "b.txt", "--limit", "5", "--online"],
     ["fetch-bfile", "A010060", "--cache-dir", "cache"],
+    ["-h", "gen"],
+    ["--", "gen", "A010060", "--count", "3"],
+    ["check-bfile", "gen"],
+    ["gen", "verify"],
+    ["gen", "A010060", "--bogus"],
 ], ids=lambda argv: " ".join(argv) or "no command")
 def test_the_parser_matches_the_eager_reference(capsys, argv):
     # help, version, usage errors and exit codes byte for byte, and the namespace
     expected = _parse(capsys, build_parser_eager(), argv)
-    assert _parse(capsys, build_parser(), argv) == expected
+    assert _parse(capsys, build_parser(argv), argv) == expected
+
+
+def test_no_top_level_option_takes_a_value():
+    # so the first subcommand name in a command line is the command build_parser builds
+    parser = build_parser()
+    options = [action for action in parser._actions
+               if not isinstance(action, argparse._SubParsersAction)]
+    assert options and all(action.nargs == 0 for action in options)
 
 
 @pytest.mark.parametrize("argv", [
@@ -510,11 +523,11 @@ def test_the_parser_matches_the_eager_reference(capsys, argv):
     ["fetch-bfile", "A128975"],
 ], ids=" ".join)
 def test_a_command_builds_only_its_own_subcommands_arguments(argv):
-    parser = build_parser()
+    parser = build_parser(argv)
     (subparsers,) = (action for action in parser._actions
                      if isinstance(action, argparse._SubParsersAction))
     parser.parse_args(argv)
-    # a subparser that never parsed holds only its -h
+    # a subparser argv does not name holds only its -h
     built = {name for name, sub in subparsers.choices.items() if len(sub._actions) > 1}
     assert built == {argv[0]}
 
@@ -591,6 +604,17 @@ def test_error_paths_are_pinned(capsys, tmp_path, argv, expected_code, expected_
     (tmp_path / "comments.txt").write_text("# A061297\n\n", encoding="utf-8")
     code, out, err = run_cli(capsys, *_with_tmp(tmp_path, argv))
     assert (code, out, err) == (expected_code, "", _with_tmp(tmp_path, [expected_err])[0])
+
+
+def test_verify_records_an_lcm_range_past_sys_maxsize_in_json(capsys):
+    code, out, err = run_cli(capsys, "verify", "A061297", "--n-max-heavy", str(10**21),
+                             "--format", "json")
+    assert (code, err) == (1, "")
+    (record,) = json.loads(out)["sequences"]
+    assert record["claimed_status"] is None
+    assert record["fitted"] is None
+    assert record["error"] == (f"ValueError: the lcm sums are computed for n < sys.maxsize = "
+                               f"{sys.maxsize}, got n = {10**21}")
 
 
 def test_verify_reports_an_lcm_range_past_sys_maxsize_on_its_line(capsys):

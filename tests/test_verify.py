@@ -109,6 +109,29 @@ def test_fit_relation_is_ambiguous_on_constant_sequences():
     assert fit_relation(constant, 64) is None
 
 
+def test_a_claimed_sequence_that_fits_nothing_reports_the_failed_claim():
+    zeros = SequenceDescriptor(
+        id="zeros",
+        offset=0,
+        terms=lambda start, stop: [0] * (stop - start),
+        claimed=ParityRelation(0, False),
+    )
+    report = verify_sequences([zeros], 64, 64)
+    assert report.to_text() == (
+        "zeros  claimed: FAIL [m(n)]  fitted: none  range: 0..64  mismatches: 16\n"
+    )
+    (record,) = report.to_records()
+    assert record["fitted"] is None
+    assert record["claimed_status"] == "FAIL"
+    assert record["mismatch_sample"] == [0, 6, 10, 12, 18, 20, 24, 30, 34, 36]
+    assert not report.all_fitted()
+
+
+def test_check_relation_rejects_a_range_below_the_offset():
+    with pytest.raises(ValueError, match="^n_max 0 is below the offset of A003071$"):
+        check_relation(CATALOGUE["A003071"], ParityRelation(0, False), 0)
+
+
 def test_fitted_catalogue(report):
     fits = {
         c.sequence_id: (c.fitted.shift, c.fitted.complement) for c in report.checks
@@ -187,6 +210,28 @@ def test_generator_failures_are_aggregated():
     assert report.checks[0].error == "RuntimeError: boom"
     assert report.checks[0].fitted is None
     assert not report.all_fitted()
+
+
+@pytest.mark.parametrize("n_max", [64, 8])
+def test_verify_sequences_requires_a_claim_before_the_range_check(n_max):
+    # an unclaimed sequence is refused before the ranges are looked at
+    with pytest.raises(ValueError, match="^no parity relation is catalogued for A010060$"):
+        verify_sequences([CATALOGUE["A010060"]], n_max, n_max)
+
+
+def test_verify_sequences_generates_nothing_when_a_claim_is_missing():
+    calls = []
+
+    def recording(start, stop):
+        calls.append((start, stop))
+        return [0] * (stop - start)
+
+    claimed = SequenceDescriptor(
+        id="recording", offset=0, terms=recording, claimed=ParityRelation(0, False)
+    )
+    with pytest.raises(ValueError, match="^no parity relation is catalogued for A010060$"):
+        verify_sequences([claimed, CATALOGUE["A010060"]], 64, 64)
+    assert calls == []
 
 
 CANDIDATES = [

@@ -21,7 +21,7 @@ DEFAULT_N_MAX_HEAVY = 512
 
 def _emit_terms(seq_id: str, start: int, values: list[int], fmt: str) -> None:
     if fmt == "plain":
-        sys.stdout.write("".join(f"{v}\n" for v in values))
+        sys.stdout.write(("%d\n" * len(values)) % tuple(values))
     elif fmt == "bfile":
         sys.stdout.write(oeis.serialize_bfile(oeis.BFileTable(seq_id, start, tuple(values))))
     else:

@@ -13,6 +13,7 @@ loads it.
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 import operator
 import os
 import re
@@ -24,6 +25,7 @@ from .catalogue import SequenceDescriptor
 
 _ID_PATTERN = re.compile(r"\AA(\d{6})\Z")
 _FIXTURE_PACKAGE = "seqparity"
+_CHUNK = 1 << 15  # characters of canonical text checked and split at a time
 
 
 class BFileFormatError(ValueError):
@@ -81,7 +83,61 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFileTable:
     comment may hold any other character.  A row is two ASCII decimal integers,
     each `-?[0-9]+`, separated by spaces or tabs.  Text with no rows (empty, or
     only comments) is not a b-file.
+
+    Text in the canonical form, as `serialize_bfile` writes it, is read at C
+    speed a chunk at a time: after any leading '#' lines, every line is
+    '<index> <value>' with a single space and ends in a line feed, the indices
+    running on by one.  Any other text is read line by line, to the same table
+    or the same error.
     """
+    rows = _parse_canonical(text)
+    if rows is None:
+        return _parse_lines(text, sequence_id)
+    start, values = rows
+    return BFileTable(sequence_id, start, tuple(values))
+
+
+def _parse_canonical(text: str) -> tuple[int, list[int]] | None:
+    """The first index and the values of canonical b-file text, or None if
+    the text is not canonical, has a gap or has a token int() declines."""
+    pos = 0
+    while text.startswith("#", pos):  # the leading comment block
+        pos = text.find("\n", pos) + 1
+        if not pos:
+            return None
+    start, values = None, []
+    try:
+        while pos < len(text):
+            # whole lines, about _CHUNK characters: no check copies the text
+            end = text.find("\n", pos + _CHUNK)
+            end = len(text) if end < 0 else end + 1
+            chunk = text[pos:end].encode("ascii")  # raises on a non-ASCII character
+            pos = end
+            # each line two tokens of -?[0-9]+ characters around one space:
+            # one space then one "\n" per line, and no token empty
+            if (
+                chunk.translate(None, b"0123456789-") != b" \n" * chunk.count(b"\n")
+                or not chunk.endswith(b"\n")
+                or chunk.startswith(b" ")
+                or b"\n " in chunk
+                or b" \n" in chunk
+            ):
+                return None
+            # int() reads ASCII bytes as it reads the same str, limit included
+            tokens = chunk.split()
+            if start is None:
+                start = int(tokens[0])
+            indices = map(int, tokens[0::2])
+            if not all(map(operator.eq, indices, itertools.count(start + len(values)))):
+                return None
+            values.extend(map(int, tokens[1::2]))
+    except ValueError:  # a non-ASCII character, or a token int() does not read
+        return None
+    return None if start is None else (start, values)
+
+
+def _parse_lines(text: str, sequence_id: str = "") -> BFileTable:
+    """`parse_bfile` line by line: any text, and the error for a bad one."""
     indices, values = [], []
     # int() also takes '+1', '1_0' and non-ASCII digits, and tokens may stand
     # apart only by spaces and tabs; a text with none of those characters in it
@@ -131,8 +187,12 @@ def _row_error(lineno: int, raw: str, problem: str) -> BFileFormatError:
 
 
 def serialize_bfile(table: BFileTable) -> str:
-    """Emit one '<index> <value>' line per row; the text parses back to the table."""
-    return "".join(f"{i} {v}\n" for i, v in enumerate(table.values, table.start))
+    """Emit one '<index> <value>' line per row, each with a single space and
+    ended by a line feed: the canonical form, which parses back to the table
+    at C speed."""
+    n = len(table.values)
+    rows = zip(range(table.start, table.start + n), table.values)
+    return ("%d %d\n" * n) % tuple(itertools.chain.from_iterable(rows))
 
 
 def cross_check(

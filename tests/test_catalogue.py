@@ -39,6 +39,14 @@ def test_a_start_below_the_offset_is_rejected(seq_id):
 
 
 @pytest.mark.parametrize("seq_id", sorted(CATALOGUE))
+def test_every_term_is_a_plain_int(seq_id):
+    # the CLI writes terms with %d, which prints a bool as 1 where str() gives True
+    seq = CATALOGUE[seq_id]
+    for start in (seq.offset, seq.offset + 1000):
+        assert all(type(v) is int for v in seq.terms(start, start + 300))
+
+
+@pytest.mark.parametrize("seq_id", sorted(CATALOGUE))
 def test_a_reversed_window_is_empty(seq_id):
     seq = CATALOGUE[seq_id]
     for lo, hi in [(0, -1), (0, -3), (5, 2)]:

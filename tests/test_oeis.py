@@ -52,6 +52,29 @@ def write_loosely(draw, rows):
     return "".join(line + end for line, end in zip(lines, ends)), linenos
 
 
+def inject(draw, rows, fault):
+    """A copy of (index, value) rows with one drawn row given a fault: its
+    index one too high (a gap), its value negative, or a '+' before its value;
+    also the position of that row."""
+    rows = list(rows)
+    position = draw(st.integers(min_value=1 if fault == "gap" else 0, max_value=len(rows) - 1))
+    index, value = rows[position]
+    rows[position] = {
+        "gap": (index + 1, value),
+        "negative": (index, -value - 1),
+        "plus": (index, f"+{value}"),
+    }[fault]
+    return rows, position
+
+
+def outcome(parse, text):
+    """The table a parse route reads from text, or the message of its error."""
+    try:
+        return parse(text, "A000001")
+    except BFileFormatError as exc:
+        return str(exc)
+
+
 def test_parse_simple_table():
     table = parse_bfile("0 1\n1 0\n2 0\n")
     assert (table.start, table.values) == (0, (1, 0, 0))
@@ -156,22 +179,45 @@ def test_a_value_beyond_the_int_digit_limit_is_a_format_error_outside_the_cli():
         sys.set_int_max_str_digits(saved)
 
 
-def test_parsing_4096_rows_peaks_below_a_measured_bound():
-    # tracemalloc measured a 728,542-byte peak (Python 3.11) for these
-    # 158,162 bytes of text: the split lines, the row lists and the table.
-    # A whole-text regex match that keeps backtracking state for each row
-    # would add about 1.7 MB at this row count.
+def a104258_table(rows):
     seq = CATALOGUE["A104258"]
-    values = seq.terms(seq.offset, seq.offset + 4096)
-    text = serialize_bfile(BFileTable(seq.id, seq.offset, tuple(values)))
+    return BFileTable(seq.id, seq.offset, tuple(seq.terms(seq.offset, seq.offset + rows)))
+
+
+def traced_peak(func, *args):
+    """What func returns, and the peak of memory tracemalloc saw it hold."""
     tracemalloc.start()
     try:
-        table = parse_bfile(text, seq.id)
+        result = func(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.values == tuple(values)
-    assert peak < 800_000
+    return result, peak
+
+
+def test_parsing_4096_rows_peaks_below_a_measured_bound():
+    # tracemalloc measured a 363,950-byte peak (Python 3.11; 363,950 to
+    # 365,156 on 3.10 to 3.13) for these 158,162 bytes of canonical text: one
+    # chunk, its split tokens, the values and the table.  The line loop,
+    # which splits the whole text into lines first, peaked at 728,542 bytes,
+    # and a whole-text regex match that keeps backtracking state for each
+    # row would add about 1.7 MB at this row count.
+    table = a104258_table(4096)
+    text = serialize_bfile(table)
+    parsed, peak = traced_peak(parse_bfile, text, table.sequence_id)
+    assert parsed == table
+    assert peak < 400_000
+
+
+def test_serializing_4096_rows_peaks_below_a_measured_bound():
+    # tracemalloc measured a 397,557-byte peak (Python 3.11; 382,589 to
+    # 397,557 on 3.10 to 3.13) for one %-format over the flat row tuple: the
+    # tuple, the index ints, the format string and the 158,162-byte text.
+    # Joining one f-string per row peaked at 517,517 to 550,565 bytes.
+    table = a104258_table(4096)
+    text, peak = traced_peak(serialize_bfile, table)
+    assert len(text) == 158_162
+    assert peak < 450_000
 
 
 def test_serialize_examples():
@@ -194,23 +240,88 @@ def test_a_loosely_written_table_parses_back(data):
 @given(st.data(), st.sampled_from(["gap", "negative", "plus"]))
 def test_an_injected_fault_is_named_by_its_row(data, fault):
     table = data.draw(tables())
-    rows = list(enumerate(table.values, table.start))
-    assume(fault != "gap" or len(rows) > 1)
-    position = data.draw(st.integers(min_value=1 if fault == "gap" else 0, max_value=len(rows) - 1))
-    index, value = rows[position]
+    assume(fault != "gap" or len(table) > 1)
+    rows, position = inject(data.draw, enumerate(table.values, table.start), fault)
+    index, value = table.start + position, table.values[position]
     if fault == "gap":
-        rows[position] = (index + 1, value)
         expected = rf"^index gap: {index - 1} followed by {index + 1}$"
     elif fault == "negative":
-        rows[position] = (index, -value - 1)
         expected = rf"^negative value {-value - 1} at index {index}; "
-    else:
-        rows[position] = (index, f"+{value}")
     text, linenos = write_loosely(data.draw, rows)
     if fault == "plus":
         expected = rf"^line {linenos[position]}: non-integer token in "
     with pytest.raises(BFileFormatError, match=expected):
         parse_bfile(text)
+
+
+@given(st.data(), st.sampled_from([None, "gap", "negative", "plus"]), st.booleans())
+def test_the_chunked_route_reads_what_the_line_loop_reads(data, fault, loosely):
+    # the same table or the same error, from canonical text with or without a
+    # comment header and from loosely written text, each with or without a fault
+    table = data.draw(tables())
+    rows = list(enumerate(table.values, table.start))
+    if fault is not None and (fault != "gap" or len(rows) > 1):
+        rows, _ = inject(data.draw, rows, fault)
+    if loosely:
+        text, _ = write_loosely(data.draw, rows)
+    else:
+        header = data.draw(st.sampled_from(["", "# A000001\n", "#\n# n a(n)\n"]))
+        text = header + "".join(f"{index} {value}\n" for index, value in rows)
+    assert outcome(parse_bfile, text) == outcome(oeis._parse_lines, text)
+
+
+LONG = "".join(f"{i} {3 * i + 1}\n" for i in range(20_000))
+# the first row of LONG's second chunk, and the rows before it
+SECOND = LONG.find("\n", oeis._CHUNK) + 1
+HEAD, ROW, TAIL = LONG[:SECOND], *LONG[SECOND:].split("\n", 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 2 2\n3\n",  # as many spaces as line feeds, but not one of each a line
+        " 0\n",
+        "0 \n1 1\n",
+        "0 1\n 1\n",
+        "0 1\n1",
+        "0 1\n1 1",
+        " 0 1\n1 1\n",
+        "0 1 \n1 1\n",
+        "0 1\n\n1 1\n",
+        "0 1\n#\n1 1\n",
+        "0 1\n2 1\n",
+        "0 -1\n2 1\n",
+        "0 1\n1 --1\n",
+        "0 1\n1 1-\n",
+        "0 1\n-\n",
+        "0 \u0661\n",
+        "# only\n",
+        "#",
+        "",
+        pytest.param(HEAD + ROW.replace(" ", "  ") + "\n" + TAIL, id="long-double-space"),
+        pytest.param(HEAD + "#\n" + ROW + "\n" + TAIL, id="long-comment"),
+        pytest.param(HEAD + " " + ROW + "\n" + TAIL, id="long-leading-space"),
+        pytest.param(HEAD + ROW + " \n" + TAIL, id="long-trailing-space"),
+        pytest.param(HEAD + ROW + "\r\n" + TAIL, id="long-crlf"),
+        pytest.param(LONG[:-1], id="long-no-final-line-feed"),
+        pytest.param(LONG + "20000", id="long-lone-last-index"),
+        # the second chunk's indices start again from 0
+        pytest.param(HEAD + HEAD, id="long-chunk-restarts"),
+    ],
+)
+def test_the_chunked_route_declines_what_is_not_canonical(text):
+    assert oeis._parse_canonical(text) is None
+    assert outcome(parse_bfile, text) == outcome(oeis._parse_lines, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [LONG, "# A000001\n#\n" + LONG, "-2 0\n-1 -0\n0 007\n", "0 -5\n"],
+    ids=["long", "header", "signs", "negative"],
+)
+def test_canonical_text_is_read_by_the_chunked_route(text):
+    assert oeis._parse_canonical(text) is not None
+    assert outcome(parse_bfile, text) == outcome(oeis._parse_lines, text)
 
 
 def test_bfile_naming():

@@ -178,6 +178,31 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace `build_parser(argv).parse_args(argv)` gives, from the
+    one parser of the subcommand argv opens with where that is enough.
+
+    That parser is the subparser the full parser would hand the rest of
+    argv to, so it prints the same help and errors. The full parser still
+    parses every other argv, because their error lines need its usage and
+    prog: an argv that does not open with a subcommand, one whose words the
+    subparser leaves over ("unrecognized arguments"), and one with a word
+    opening with "--=" before any "--": that abbreviates both --help and
+    --version, and the full parser of Python 3.10 to 3.13.0 rejects it as
+    ambiguous before any subparser sees it.
+    """
+    head = argv[:argv.index("--")] if "--" in argv else argv
+    for name, _, add_arguments, func in _SUBCOMMANDS:
+        if argv[:1] == [name] and not any(word.startswith("--=") for word in head):
+            parser = argparse.ArgumentParser(prog=f"seqparity {name}")
+            add_arguments(parser)
+            parser.set_defaults(command=name, func=func)
+            args, extras = parser.parse_known_args(argv[1:])
+            if not extras:
+                return args
+    return build_parser(argv).parse_args(argv)
+
+
 def _drop_unwritable_stdout() -> None:
     """Point stdout at the null device if it still cannot be flushed, so the
     flush at interpreter exit does not fail again; a sink without a descriptor
@@ -197,7 +222,7 @@ def _drop_unwritable_stdout() -> None:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = parse_args(argv)
     # exact terms outgrow the interpreter's int/str conversion limit (4300
     # digits since 3.11): lift it while the command runs, for writing values
     # and for reading b-file rows, and give the caller's limit back after

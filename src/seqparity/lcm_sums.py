@@ -22,12 +22,12 @@ a range that lies inside the kept window is sliced from it and takes it, so
 the module then holds nothing; any other range is walked and kept in its place.
 A093431 is the a061297 window less one, so `verify all` walks the lcm sums
 once for both and ends holding no window, as long as its heavy range fits in
-one of verify's windows (n < verify.W); past that each walks its own windows.  A long-lived process thus holds at
-most one window of terms, the last one it walked, and only until its first
-reuse: the window [0, 2049) is about 0.3 MB of integers, [0, 513) about
-0.03 MB, and the one term at n = 19700 about 2 KB.  Kept past that reuse, the
-[0, 513) window of `verify all` at the default ranges raised the benchmark's
-peak memory by 0.15 MB.
+one of verify's windows (n < verify.W); past that each walks its own windows.
+A long-lived process thus holds at most one window of terms, the last one it
+walked, and only until its first reuse: the window [0, 2049) is about 0.3 MB
+of integers, [0, 513) about 0.03 MB, and the one term at n = 19700 about
+2 KB.  Kept past that reuse, the [0, 513) window of `verify all` at the
+default ranges raised the benchmark's peak memory by 0.15 MB.
 
 Parity questions are answered separately via 2-adic valuations without any
 big-integer work.
@@ -130,7 +130,8 @@ def a061297_terms(start: int, stop: int) -> list[int]:
     if start < 0:
         raise ValueError(f"a061297 is defined for n >= 0, got {start}")
     if stop > sys.maxsize:  # the tables are lists indexed by n
-        raise ValueError(f"the lcm sums are computed for n < sys.maxsize = {sys.maxsize}, got n = {stop - 1}")
+        raise ValueError(f"the lcm sums are computed for n < sys.maxsize = {sys.maxsize}, "
+                         f"got n = {stop - 1}")
     if stop <= start:  # an empty range neither walks nor replaces the kept window
         return []
     kept_start, kept_stop, kept = _kept

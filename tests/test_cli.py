@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import errno
+import gc
 import http.client
 import io
 import json
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from oracles import a029886_by_digits, a247303_by_digits, build_parser_eager
 from seqparity import oeis
 from seqparity.catalogue import CATALOGUE, parity_catalogue
-from seqparity.cli import build_parser, main
+from seqparity.cli import build_parser, main, parse_args
 from seqparity.lcm_sums import a061297
 from seqparity.parity import master_m
 from seqparity.sorting import a003071, a113474
@@ -467,10 +468,10 @@ def test_usage_error_exits_two():
     assert excinfo.value.code == 2
 
 
-def _parse(capsys, parser: argparse.ArgumentParser, argv: list[str]):
+def _parse(capsys, parse, argv: list[str]):
     """Exit code, stdout, stderr and parsed namespace (None on exit) of one parse."""
     try:
-        namespace = vars(parser.parse_args(argv))
+        namespace = vars(parse(argv))
         code = 0
     except SystemExit as exc:
         namespace, code = None, exc.code
@@ -500,11 +501,30 @@ def _parse(capsys, parser: argparse.ArgumentParser, argv: list[str]):
     ["check-bfile", "gen"],
     ["gen", "verify"],
     ["gen", "A010060", "--bogus"],
+    ["gen", "--", "A010060"],
+    ["gen", "A010060", "--", "--count"],
+    ["gen", "A010060", "-h", "--bogus"],
+    ["gen", "A010060", "--bogus", "-h"],
+    ["gen", "A010060", "--cou", "3"],
+    ["gen", "A010060", "--count=3"],
+    ["verify", "all", "--n", "5"],
+    ["gen", "A010060", "extra"],
+    ["gen", "-x"],
+    ["gen", "A010060", "--count", "3", "gen"],
+    ["gen", "--from", "-3", "A1"],
+    ["check-bfile", "A1", "--file"],
+    ["verify"],
+    ["verify", "all", "--format"],
+    # "--=x" abbreviates both --help and --version of the top-level parser
+    ["gen", "A010060", "--=x"],
+    ["gen", "--", "--=x"],
 ], ids=lambda argv: " ".join(argv) or "no command")
 def test_the_parser_matches_the_eager_reference(capsys, argv):
     # help, version, usage errors and exit codes byte for byte, and the namespace
-    expected = _parse(capsys, build_parser_eager(), argv)
-    assert _parse(capsys, build_parser(argv), argv) == expected
+    expected = _parse(capsys, build_parser_eager().parse_args, argv)
+    assert _parse(capsys, build_parser(argv).parse_args, argv) == expected
+    # and the same through the one-parser route main takes
+    assert _parse(capsys, parse_args, argv) == expected
 
 
 def test_no_top_level_option_takes_a_value():
@@ -530,6 +550,73 @@ def test_a_command_builds_only_its_own_subcommands_arguments(argv):
     # a subparser argv does not name holds only its -h
     built = {name for name, sub in subparsers.choices.items() if len(sub._actions) > 1}
     assert built == {argv[0]}
+
+
+@pytest.fixture
+def built_parsers(monkeypatch):
+    """The prog of each argparse parser built while the test runs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "A010060", "--count", "3"],
+    ["parity", "m", "--count", "3"],
+    ["verify", "A128975", "--n-max", "64"],
+    ["check-bfile", "A128975", "--limit", "5"],
+    ["fetch-bfile", "A113474", "--cache-dir", "{tmp}"],
+], ids=lambda argv: argv[0])
+def test_a_named_command_builds_one_parser(capsys, tmp_path, built_parsers, argv):
+    argv = _with_tmp(tmp_path, argv)
+    assert main(argv) == 0
+    assert built_parsers == [f"seqparity {argv[0]}"]
+    # the full parser builds the top-level parser and five subparsers
+    built_parsers.clear()
+    build_parser(argv).parse_args(argv)
+    assert len(built_parsers) == 6
+
+
+def test_words_left_over_fall_back_to_the_top_level_error(capsys, built_parsers):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen", "A010060", "--bogus"])
+    assert excinfo.value.code == 2
+    assert len(built_parsers) == 1 + 6
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "seqparity: error: unrecognized arguments: --bogus"
+
+
+# one call with one parser leaves 40-50 objects (58-73 on Python 3.10); with
+# the top-level parser and five subparsers it left 175-186 (234-249 on 3.10)
+CYCLIC_GARBAGE_PER_CALL = 100
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-bfile", "A128975"],
+    ["gen", "A010060", "--count", "5"],
+    ["verify", "A128975", "--n-max", "64"],
+], ids=" ".join)
+def test_a_command_leaves_little_cyclic_garbage(capsys, argv):
+    # argparse actions point back at their parser, so only the cyclic
+    # collector frees a parser: fewer parsers, fewer objects held between
+    # collections in a long-lived caller
+    main(argv)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        main(argv)
+        freed = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert freed < CYCLIC_GARBAGE_PER_CALL
 
 
 @pytest.mark.parametrize(

@@ -9,13 +9,35 @@ For r >= ceil(n/2) the window {n-r+1, ..., n} holds all of (r, n], since
 n - r <= r, so every prime power up to n divides its lcm and
 lcm(n-r+1..n) / lcm(1..r) = lcm(1..n) / lcm(1..r).  That upper half of the sum
 depends on n alone, and a window of n carries it from n to n+1 in a few
-big-integer steps (the V/B carry of `_a061297_window`).  The lower half,
-r < ceil(n/2), is taken in its prime-power event form: q_r changes only where a
-prime power enters the window or the base, so the walk does about one small
-multiply or divide per prime power up to n and one per prime power below n/2,
-and adds each run of equal summands at once.  A range of n shares one list of the
-primes, from the package's one bytearray sieve `digits._primes`, and one table
-of prime powers; the prime powers up to each n are a prefix of it.
+big-integer steps (the V/B carry of `_a061297_window`).
+
+The lower half, r < h = ceil(n/2), is found one of two ways.  Walked, it is
+taken in its prime-power event form: q_r changes only where a prime power
+enters the window or the base, so the walk does about one small multiply or
+divide per prime power up to n and one per prime power below n/2, and adds
+each run of equal summands at once.  Stepped, the summands q_0..q_{h-1} are
+kept from one n to the next: the window of r+1 at n is the window of r at n-1
+plus {n}, so
+
+    q_{r+1}(n) = q_r(n-1) * g_r / Lambda(r+1),
+
+where g_r = n / gcd(n, lcm(1..r)) is the product of p over the prime powers
+P = p**j dividing n with P > r, and Lambda(k) = p at a prime power k = p**j,
+else 1.  A step shifts the list by one, multiplies the prefix below the
+largest prime power dividing n one slice at a time, divides at the prime-power
+indices below h, and updates the lower sum from the entries that changed.
+The list holds a little over n**2/4 bits (0.285 n**2: 38 KB at n = 1024,
+0.6 MB at 4096, 2.4 MB at 8192), and a term about 0.75 n bits, or 1.8 n bits
+as decimal text.  So a window steps only when it is at least a sixth as wide
+as its stop, where the list is no larger than the window's own terms written
+out; one-term calls and other narrow windows walk every n, and a stepped
+window walks its first n only.  Stepping also stops at n = _STEP_LIMIT
+(8192), and the window walks on from there: a step streams through the whole
+list, and past about n = 9000 it costs more than a walk (4.6 against 3.6 ms
+per n at 12288).  A range of n shares one list of the primes, from the
+package's one bytearray sieve `digits._primes`, and one table of prime
+powers; the prime powers up to each n are a prefix of it, and a stepped
+window factors each n with `digits._spf_window`.
 
 The module keeps the last window it walked until one call is served from it:
 a range that lies inside the kept window is sliced from it and takes it, so
@@ -27,7 +49,10 @@ A long-lived process thus holds at most one window of terms, the last one it
 walked, and only until its first reuse: the window [0, 2049) is about 0.3 MB
 of integers, [0, 513) about 0.03 MB, and the one term at n = 19700 about
 2 KB.  Kept past that reuse, the [0, 513) window of `verify all` at the
-default ranges raised the benchmark's peak memory by 0.15 MB.
+default ranges raised the benchmark's peak memory by 0.15 MB.  The summand
+list lives only while its window is computed: stepping raises the tracemalloc
+peak of [0, 1025) from 142 KB to 249 KB and of [0, 2049) from 0.39 MB to
+0.76 MB, and leaves narrow windows as they were (0.88 MB at [19700, 19702)).
 
 Parity questions are answered separately via 2-adic valuations without any
 big-integer work.
@@ -37,8 +62,10 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
+from itertools import repeat
+from operator import mul
 
-from .digits import _primes
+from .digits import _primes, _spf_window
 from .parity import binary_weight
 
 #: The last window a061297_terms walked, as one (start, stop, terms) tuple, or
@@ -47,6 +74,26 @@ from .parity import binary_weight
 #: or the new one, never half of each.
 _NO_WINDOW: tuple[int, int, tuple[int, ...]] = (0, 0, ())
 _kept = _NO_WINDOW
+
+#: n from which a window walks every n: past about n = 9000 a step, which
+#: streams through a summand list of several MB, costs more than a walk.
+_STEP_LIMIT = 8192
+
+
+def _prime_power_divisors(n: int, spf) -> list[int]:
+    """The prime powers dividing n >= 1, in increasing order, with spf[m - 1]
+    the smallest prime factor of m (0 for a prime or 1), as `_spf_window(1, stop)`
+    gives it for m < stop."""
+    out = []
+    while n > 1:
+        p = spf[n - 1] or n
+        power = p
+        while not n % p:
+            n //= p
+            out.append(power)
+            power *= p
+    out.sort()
+    return out
 
 
 def _a061297_window(start: int, stop: int) -> list[int]:
@@ -71,8 +118,24 @@ def _a061297_window(start: int, stop: int) -> list[int]:
     At the window's first n one pass down the prime powers in (h, n] gives
     both: B is the running product of their primes, and V adds that product
     once for each r between them, Horner's rule read backward.
+
+    A window at least a sixth as wide as its stop walks its first n only, and
+    keeps the walk's runs as the list of lower summands q_0..q_{h-1}.  Each
+    later n below _STEP_LIMIT steps that list by
+    q_{r+1}(n) = q_r(n-1) * g_r / Lambda(r+1): a q_0 = 1 goes in front, and at
+    even n, where h does not grow, the last entry leaves the lower half.  g_r
+    is the product of p over the prime powers P = p**j dividing n with P > r,
+    so g_r = n for r < P_1, the least such P, and each P passed drops its p:
+    list index r takes g_{r-1}, one slice at a time up to the largest of them.
+    Each prime-power index P < h is then divided by its p; the product before
+    it is exact.  The lower sum moves by (g - 1) times each slice's old sum and
+    by each quotient's change, so the other summands are not added again.
     """
-    loss = [1] * stop  # loss[P] = p at each prime power P = p**j below stop
+    try:
+        loss = [1] * stop  # loss[P] = p at each prime power P = p**j below stop
+    except MemoryError:  # a size refused outright, such as one near sys.maxsize
+        raise ValueError(
+            f"the lcm sums' tables up to n = {stop - 1} do not fit in memory") from None
     for p in _primes(2, stop):
         power = p
         while power < stop:
@@ -89,7 +152,13 @@ def _a061297_window(start: int, stop: int) -> list[int]:
         base *= loss[P]
         r = P - 1
     upper += base * (r + 1 - h)
-    gain = [1] * stop  # per n: product of the primes gained at each r < h
+    # n in (start, step_stop) steps from n - 1 to n: only where the list of
+    # about n**2/4 bits is no larger than the window's terms in decimal, so a
+    # narrow window such as one term walks every n, and below _STEP_LIMIT
+    step_stop = min(stop, _STEP_LIMIT) if 6 * (stop - start) >= stop else start
+    spf = _spf_window(1, step_stop) if step_stop > start + 1 else None
+    gain = [1] * stop  # per walked n: product of the primes gained at each r < h
+    summands: list[int] = []  # q_r for r < h, from n - 1 to n while stepping
     out = []
     for n in range(start, stop):
         if n > start:
@@ -100,25 +169,52 @@ def _a061297_window(start: int, stop: int) -> list[int]:
             else:
                 upper = loss[n] * upper + 1
                 base *= loss[n]
-        window = powers[: bisect_right(powers, n)]
-        events = set(powers[: bisect_left(powers, h)])  # the losses below h
-        for P, p in zip(window, primes):
-            pos = n % P + 1
-            if pos < h:
-                gain[pos] *= p
-                events.add(pos)
-        total = q = r = 1  # r = 0 summand; the run of summand q starts at r
-        for event in sorted(events):
-            total += q * (event - r)
-            if gain[event] != 1:  # multiplying by 1 is a pass over q as well
-                q *= gain[event]
-                gain[event] = 1
-            if loss[event] != 1:  # even a division by 1 is a pass over q
-                q //= loss[event]
-            r = event
-        # the last run ends at h; at n = 0, h = 0 and it takes back the r = 0
-        # summand, which V holds
-        out.append(total + q * (h - r) + upper)
+        if start < n < step_stop:
+            if not n & 1:  # r = h - 1 at n - 1 is r = h at n
+                lower -= summands.pop()
+            summands.insert(0, 1)
+            lower += 1
+            factor = n  # g_{r-1} for the slice of list indices from r on
+            r = 1
+            for P in _prime_power_divisors(n, spf):
+                if r >= h:
+                    break
+                lower += sum(summands[r : P + 1]) * (factor - 1)
+                summands[r : P + 1] = map(mul, summands[r : P + 1], repeat(factor))
+                factor //= loss[P]
+                r = P + 1
+            for P, p in zip(powers[: bisect_left(powers, h)], primes):
+                q = summands[P]
+                summands[P] = q // p
+                lower -= q - summands[P]
+        else:
+            window = powers[: bisect_right(powers, n)]
+            events = set(powers[: bisect_left(powers, h)])  # the losses below h
+            for P, p in zip(window, primes):
+                pos = n % P + 1
+                if pos < h:
+                    gain[pos] *= p
+                    events.add(pos)
+            total = q = r = 1  # r = 0 summand; the run of summand q starts at r
+            keep = n + 1 < step_stop  # the next n steps from this one's summands
+            summands = [1] if keep else []
+            for event in sorted(events):
+                total += q * (event - r)
+                if keep:
+                    summands += [q] * (event - r)
+                if gain[event] != 1:  # multiplying by 1 is a pass over q as well
+                    q *= gain[event]
+                    gain[event] = 1
+                if loss[event] != 1:  # even a division by 1 is a pass over q
+                    q //= loss[event]
+                r = event
+            # the last run ends at h; at n = 0, h = 0 and it takes back the r = 0
+            # summand, which V holds
+            lower = total + q * (h - r)
+            if keep:
+                summands += [q] * (h - r)
+                del summands[h:]  # at n = 0 the list is empty
+        out.append(lower + upper)
     return out
 
 

@@ -2,12 +2,14 @@
 
 None of this ships in seqparity: each function is a deliberately naive or
 differently derived evaluation of a quantity the package computes by its one
-production route.  Binary words are plain strings over {"0", "1"}.
+production route.  Binary words are plain strings over {"0", "1"}.  The one
+measuring helper, `traced_peak`, serves the memory pins.
 """
 
 from __future__ import annotations
 
 import argparse
+import tracemalloc
 from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
@@ -15,6 +17,17 @@ from typing import Iterable, Mapping
 
 from seqparity import __version__, cli
 from seqparity.parity import master_m, thue_morse, thue_morse_bar
+
+
+def traced_peak(func, *args):
+    """What func returns, and the peak of memory tracemalloc saw it hold."""
+    tracemalloc.start()
+    try:
+        result = func(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def as_word(bits: Iterable[int]) -> str:

@@ -711,6 +711,35 @@ def test_verify_reports_an_lcm_range_past_sys_maxsize_on_its_line(capsys):
                    f"{sys.maxsize}, got n = {10**21}\n")
 
 
+# the lcm sums' tables hold one entry per n up to the range's top; near
+# sys.maxsize the allocator refuses them at once, before any term is computed
+TABLE_REFUSED = f"the lcm sums' tables up to n = {sys.maxsize - 1} do not fit in memory"
+
+
+@pytest.mark.parametrize("command, seq_id", [("gen", "A061297"), ("parity", "A061297"),
+                                             ("gen", "A093431")])
+def test_an_lcm_table_too_large_to_allocate_is_a_one_line_error(command, seq_id):
+    result = subprocess.run(
+        [sys.executable, "-m", "seqparity", command, seq_id,
+         "--from", str(sys.maxsize - 1), "--count", "1"],
+        capture_output=True, text=True, env=_source_env(),
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {TABLE_REFUSED}\n")
+
+
+def test_verify_names_an_lcm_table_too_large_to_allocate():
+    argv = [sys.executable, "-m", "seqparity", "verify", "A061297",
+            "--n-max-heavy", str(sys.maxsize - 1)]
+    result = subprocess.run(argv, capture_output=True, text=True, env=_source_env())
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, f"A061297  error: ValueError: {TABLE_REFUSED}\n", "")
+    result = subprocess.run([*argv, "--format", "json"], capture_output=True, text=True,
+                            env=_source_env())
+    assert (result.returncode, result.stderr) == (1, "")
+    (record,) = json.loads(result.stdout)["sequences"]
+    assert record["error"] == f"ValueError: {TABLE_REFUSED}"
+
+
 class _UnwritableStdout:
     """A stdout whose every write and flush fails with one error."""
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lcm_range, quotient_term_is_odd
+from oracles import lcm_range, quotient_term_is_odd, traced_peak
 from seqparity import lcm_sums
+from seqparity.digits import _spf_window
 from seqparity.lcm_sums import (
     _a061297_window,
     a061297,
@@ -49,6 +50,20 @@ def lcm_chain_sum(n: int) -> int:
 def walked(n: int) -> int:
     """a061297(n) as the stateless kernel computes it, never from a kept window."""
     return _a061297_window(n, n + 1)[0]
+
+
+@pytest.fixture
+def sieves(monkeypatch):
+    """Record each smallest-prime-factor sieve the kernel asks for: one per
+    window that steps from n - 1 to n, none for a window that walks every n."""
+    calls = []
+
+    def counted(start, stop):
+        calls.append((start, stop))
+        return _spf_window(start, stop)
+
+    monkeypatch.setattr(lcm_sums, "_spf_window", counted)
+    return calls
 
 
 @pytest.fixture
@@ -123,10 +138,52 @@ def test_a061297_terms_match_lcm_chain_sum_across_prime_power_boundaries(n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2000), st.integers(min_value=0, max_value=24))
+@given(
+    # a start below 150 is often within five widths of 0, where the window steps
+    st.integers(min_value=0, max_value=2000) | st.integers(min_value=0, max_value=150),
+    st.integers(min_value=0, max_value=30),
+)
 def test_a061297_terms_match_lcm_chain_sum_sampled(start, width):
     stop = start + width
     assert _a061297_window(start, stop) == [lcm_chain_sum(n) for n in range(start, stop)]
+
+
+@pytest.mark.parametrize(
+    "start, stop, steps",
+    # 6 * width >= stop steps; one less width walks every n, as one term does
+    [(15, 18, True), (16, 18, False), (5, 6, False), (0, 64, True), (500, 600, True),
+     (501, 600, False), (1195, 1200, False)],
+)
+def test_a_window_steps_when_at_least_a_sixth_of_its_stop_wide(sieves, start, stop, steps):
+    assert _a061297_window(start, stop) == [lcm_chain_sum(n) for n in range(start, stop)]
+    assert sieves == ([(1, stop)] if steps else [])
+
+
+@pytest.mark.parametrize("start, stop", [(0, 150), (40, 150), (99, 150), (100, 150)])
+def test_a_window_walks_from_the_step_limit_on(sieves, monkeypatch, start, stop):
+    monkeypatch.setattr(lcm_sums, "_STEP_LIMIT", 100)
+    assert _a061297_window(start, stop) == [lcm_chain_sum(n) for n in range(start, stop)]
+    assert sieves == ([(1, 100)] if start < 99 else [])  # from 99 only its first n is below
+
+
+@pytest.mark.parametrize("b", PRIME_POWER_BOUNDARIES)
+def test_stepped_windows_across_prime_power_boundaries(sieves, b):
+    # Windows from just below, at and just above b run through n = b, b + 1,
+    # 2b - 1 and 2b.  At a prime power P = b the whole list takes P's prime at
+    # n = P, h reaches P at n = 2P - 1, and at n = 2P the slice that P ends
+    # stops at h.  At every prime n, and wherever the largest prime power
+    # dividing n lies above a prime-power index below h, a slice and a
+    # division land on the same index.  The three windows differ in the n
+    # they walk first and must agree where they overlap; single walked terms
+    # check them at those n and every 50 n.
+    stop = 2 * b + 2
+    windows = {start: _a061297_window(start, stop) for start in (b - 1, b, b + 1)}
+    assert sieves == [(1, stop)] * 3  # all three step
+    first = windows[b - 1]
+    for start, terms in windows.items():
+        assert terms == first[start - (b - 1) :]
+    points = {b - 1, b, b + 1, b + 2, 2 * b - 1, 2 * b, 2 * b + 1, *range(b - 1, stop, 50)}
+    assert {n: first[n - (b - 1)] for n in points} == {n: walked(n) for n in points}
 
 
 def test_upper_half_summands_depend_on_n_alone():
@@ -152,6 +209,29 @@ def test_a061297_windows_carry_the_upper_half_across_its_steps(P):
                     assert _a061297_window(start, start + width) == [
                         expected[k] for k in range(start, start + width)
                     ]
+
+
+def test_a_deep_narrow_window_walks_without_the_summand_list():
+    # tracemalloc measured an 880,304-byte peak at the parent, which walked
+    # every window, and 882,356 bytes with windows that step from n - 1 to n
+    # where wide enough (Python 3.11; on 3.10 to 3.13 865,376-880,304 and
+    # 867,476-882,356): the tables up to 19702 and one walk.  Two terms are
+    # far narrower than a sixth of their stop, so they walk; a summand list
+    # at n = 19700, about 14 MB, would break the bound many times over.
+    terms, peak = traced_peak(_a061297_window, 19700, 19702)
+    assert terms == [walked(19700), walked(19701)]
+    assert peak < 1_000_000
+
+
+def test_the_verify_heavy_window_peaks_below_a_measured_bound():
+    # tracemalloc measured a 142,152-byte peak at the parent, which walked
+    # [0, 1025), and 249,244 bytes stepped (Python 3.11; on 3.10 to 3.13
+    # 141,864-142,152 and 249,132-249,244): the terms, the summand list of
+    # about 57 KB at n = 1024 and, at a prime n, the product of the whole
+    # list beside it.
+    terms, peak = traced_peak(_a061297_window, 0, 1025)
+    assert terms[1024] == walked(1024)
+    assert peak < 275_000
 
 
 def test_a061297_terms_reject_a_negative_start():
@@ -204,6 +284,16 @@ def test_a061297_terms_reject_a_stop_past_sys_maxsize_before_allocating(kernel_c
         a093431(10**21)
     assert a061297_terms(sys.maxsize - 1, sys.maxsize - 1) == []  # empty: nothing to compute
     assert kernel_calls == []
+
+
+def test_a061297_terms_refuse_tables_the_allocator_cannot_hold(kernel_calls):
+    refused = rf"^the lcm sums' tables up to n = {sys.maxsize - 1} do not fit in memory$"
+    with pytest.raises(ValueError, match=refused):
+        a061297_terms(sys.maxsize - 1, sys.maxsize)
+    with pytest.raises(ValueError, match=refused):
+        a093431(sys.maxsize - 1)
+    assert kernel_calls == [(sys.maxsize - 1, sys.maxsize)] * 2
+    assert lcm_sums._kept == lcm_sums._NO_WINDOW
 
 
 def test_a061297_terms_check_the_start_before_the_kept_window(monkeypatch):

@@ -2,13 +2,13 @@
 
 import http.client
 import sys
-import tracemalloc
 import urllib.request
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from oracles import traced_peak
 from seqparity import oeis
 from seqparity.catalogue import CATALOGUE, SequenceDescriptor
 from seqparity.oeis import (
@@ -182,17 +182,6 @@ def test_a_value_beyond_the_int_digit_limit_is_a_format_error_outside_the_cli():
 def a104258_table(rows):
     seq = CATALOGUE["A104258"]
     return BFileTable(seq.id, seq.offset, tuple(seq.terms(seq.offset, seq.offset + rows)))
-
-
-def traced_peak(func, *args):
-    """What func returns, and the peak of memory tracemalloc saw it hold."""
-    tracemalloc.start()
-    try:
-        result = func(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
 
 
 def test_parsing_4096_rows_peaks_below_a_measured_bound():

@@ -12,8 +12,8 @@ below them.  Most cost O(width): one formula per index on its binary weight.
 The convolutions, A122248 and A003071 cost the window's width times at most the
 bit length of its start; A092524 sieves with the primes up to sqrt(stop), and
 the lcm sums build their prime-power tables over [0, stop).  The per-index
-scalars beside the windows are the public per-index API, and the tests' oracle
-for the windows.
+scalars beside the windows are the public per-index API, each the one-term
+window of its sequence, so a window is the only route that computes its terms.
 """
 
 from __future__ import annotations

@@ -30,14 +30,10 @@ from __future__ import annotations
 
 from itertools import count, islice
 
-from .parity import thue_morse_bar
-
 
 def a001285(n: int) -> int:
     """Thue-Morse over {1, 2}: 1 at evil n, 2 at odious n (i.e. 2 - tbar(n))."""
-    if n < 0:
-        raise ValueError(f"a001285 is defined for n >= 0, got {n}")
-    return 2 - thue_morse_bar(n)
+    return a001285_terms(n, n + 1)[0]
 
 
 def a001285_terms(start: int, stop: int) -> list[int]:

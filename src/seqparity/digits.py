@@ -6,8 +6,6 @@ from array import array
 from itertools import compress
 from math import isqrt
 
-from .parity import thue_morse
-
 #: Primes up to this bound are sieved onto a whole window at once; larger ones,
 #: needed only above its square, are listed and applied one segment at a time.
 _SIEVE_LIMIT = 1 << 16
@@ -113,9 +111,7 @@ def a092524(n: int) -> int:
 
 def a104258(n: int) -> int:
     """Binary expansion of n re-read in base n."""
-    if n < 1:
-        raise ValueError(f"a104258 is defined for n >= 1, got {n}")
-    return reinterpret_binary(n, n)
+    return a104258_terms(n, n + 1)[0]
 
 
 def a104258_terms(start: int, stop: int) -> list[int]:
@@ -127,9 +123,7 @@ def a104258_terms(start: int, stop: int) -> list[int]:
 
 def a102393(n: int) -> int:
     """The wicked evil sequence: n + 1 at evil positions, 0 at odious ones."""
-    if n < 0:
-        raise ValueError(f"a102393 is defined for n >= 0, got {n}")
-    return 0 if thue_morse(n) else n + 1
+    return a102393_terms(n, n + 1)[0]
 
 
 def a102393_terms(start: int, stop: int) -> list[int]:

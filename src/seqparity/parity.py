@@ -4,8 +4,9 @@ The master sequence m is the alternate merge of the negated Thue-Morse
 sequence with zeros: m(2k) = tbar(k), m(2k+1) = 0.  Every parity relation
 checked elsewhere in this package is stated against m.
 
-Each scalar has a ``*_terms(start, stop)`` window beside it, the values at
-n = start .. stop - 1, with the scalar's formula written on ``n.bit_count()``.
+Each sequence has a ``*_terms(start, stop)`` window, the values at
+n = start .. stop - 1, written on ``n.bit_count()``.  Its per-index scalar is
+the window's one-term case.
 """
 
 from __future__ import annotations
@@ -36,34 +37,22 @@ def evil(k: int) -> int:
     Each pair {2j, 2j+1} contains exactly one evil and one odious number;
     the evil one is 2j + t(j), so no search is needed.
     """
-    if k < 1:
-        raise ValueError(f"evil numbers are 1-indexed, got k={k}")
-    j = k - 1
-    return 2 * j + thue_morse(j)
+    return evil_terms(k, k + 1)[0]
 
 
 def odious(k: int) -> int:
     """The k-th odious number (1-indexed): the k-th n with odd binary weight."""
-    if k < 1:
-        raise ValueError(f"odious numbers are 1-indexed, got k={k}")
-    j = k - 1
-    return 2 * j + 1 - thue_morse(j)
+    return odious_terms(k, k + 1)[0]
 
 
 def master_m(n: int) -> int:
     """Master sequence bit: m(2k) = tbar(k), m(2k+1) = 0."""
-    if n < 0:
-        raise ValueError(f"master sequence is defined for n >= 0, got {n}")
-    if n & 1:
-        return 0
-    return thue_morse_bar(n >> 1)
+    return master_m_terms(n, n + 1)[0]
 
 
 def a228495(n: int) -> int:
     """Characteristic bit of the odd odious numbers: 1 iff n is odd and odious."""
-    if n < 1:
-        raise ValueError(f"a228495 is defined for n >= 1, got {n}")
-    return 1 if (n & 1) and thue_morse(n) == 1 else 0
+    return a228495_terms(n, n + 1)[0]
 
 
 def thue_morse_terms(start: int, stop: int) -> list[int]:

@@ -6,8 +6,6 @@ from __future__ import annotations
 from itertools import accumulate, islice
 from operator import add, sub
 
-from .parity import binary_weight
-
 
 def a003071(n: int) -> int:
     """Maximal comparisons to sort n elements by list merging.
@@ -15,20 +13,9 @@ def a003071(n: int) -> int:
     The final merge joins a block of size 2**k (the largest power of two that
     fits) with the remainder x = n - 2**k, costing n - 1 comparisons; an exact
     power of two splits into two equal halves instead, which solves to
-    a(2**k) = (k-1) * 2**k + 1.  Unrolling the first rule peels one set bit of
-    n per merge.  Let the suffixes m of n be n, then n with its top bit
-    cleared, and so on down to lowbit(n), and let k = m.bit_length() - 1.
-    Each suffix adds (k-1) * 2**k + 1, and each but the last a merge cost
-    m - 1.  The 2**k sum to n, so a(n) = 1 - n - lowbit(n) + sum of (m + k * 2**k).
+    a(2**k) = (k-1) * 2**k + 1.
     """
-    if n < 1:
-        raise ValueError(f"a003071 is defined for n >= 1, got {n}")
-    total = 1 - n - (n & -n)
-    while n:
-        k = n.bit_length() - 1
-        total += n + (k << k)
-        n ^= 1 << k
-    return total
+    return a003071_terms(n, n + 1)[0]
 
 
 def a003071_terms(start: int, stop: int) -> list[int]:
@@ -84,10 +71,7 @@ def a001855(n: int) -> int:
     a(n) = a(n-1) + ceil(log2 n) with a(1) = 0.  With k = ceil(log2 n), the
     sum telescopes to n*k - 2**k + 1.
     """
-    if n < 1:
-        raise ValueError(f"a001855 is defined for n >= 1, got {n}")
-    k = (n - 1).bit_length()
-    return n * k - (1 << k) + 1
+    return a001855_terms(n, n + 1)[0]
 
 
 def a001855_terms(start: int, stop: int) -> list[int]:
@@ -102,9 +86,7 @@ def a113474(n: int) -> int:
 
     Unrolled, a(n) = 1 + sum of n // 2**j over j >= 1 = n - binary_weight(n) + 1.
     """
-    if n < 1:
-        raise ValueError(f"a113474 is defined for n >= 1, got {n}")
-    return n - n.bit_count() + 1
+    return a113474_terms(n, n + 1)[0]
 
 
 def a113474_terms(start: int, stop: int) -> list[int]:
@@ -119,9 +101,7 @@ def a101925(k: int) -> int:
 
     Unrolled, b(k) = 1 + sum of k // 2**j over j >= 0 = 2k - binary_weight(k) + 1.
     """
-    if k < 0:
-        raise ValueError(f"a101925 is defined for k >= 0, got {k}")
-    return 2 * k - k.bit_count() + 1
+    return a101925_terms(k, k + 1)[0]
 
 
 def a101925_terms(start: int, stop: int) -> list[int]:
@@ -133,9 +113,7 @@ def a101925_terms(start: int, stop: int) -> list[int]:
 
 def a005187(n: int) -> int:
     """2-adic valuation of (2n)!, which telescopes to 2n - binary_weight(n)."""
-    if n < 0:
-        raise ValueError(f"a005187 is defined for n >= 0, got {n}")
-    return 2 * n - binary_weight(n)
+    return a005187_terms(n, n + 1)[0]
 
 
 def a005187_terms(start: int, stop: int) -> list[int]:

@@ -16,7 +16,7 @@ from math import lcm
 from typing import Iterable, Mapping
 
 from seqparity import __version__, cli
-from seqparity.parity import master_m, thue_morse, thue_morse_bar
+from seqparity.parity import master_m_terms, thue_morse, thue_morse_bar
 
 
 def traced_peak(func, *args):
@@ -80,6 +80,64 @@ def apply_morphism(word: str, morphism: Morphism) -> str:
         except KeyError:
             raise ValueError(f"no rule for block {block!r} at position {i}") from None
     return "".join(pieces)
+
+
+def thue_morse_by_morphism(n: int) -> int:
+    """t(n) read off the fixed point of THUE_MORSE_MORPHISM, with no binary weight.
+
+    The fixed point w is its own image, so w[n] is the letter at n % 2 of the
+    image of w[n // 2]: the walk from w[0] = "0" follows the binary digits of n
+    from the top, one rule per digit.
+    """
+    if n < 0:
+        raise ValueError(f"the Thue-Morse sequence is defined for n >= 0, got {n}")
+    rules, letter = THUE_MORSE_MORPHISM.rules, "0"
+    for digit in format(n, "b"):
+        letter = rules[letter][digit == "1"]
+    return int(letter)
+
+
+def evil_by_pairs(k: int) -> int:
+    """The k-th evil number (1-indexed) as the member of the pair {2j, 2j + 1},
+    j = k - 1, whose Thue-Morse letter is 0.
+
+    t(2j + 1) = 1 - t(2j), so each pair holds one evil and one odious number,
+    and the k-th evil number is the one in the k-th pair.
+    """
+    if k < 1:
+        raise ValueError(f"evil numbers are 1-indexed, got k={k}")
+    n = 2 * (k - 1)
+    return n if thue_morse_by_morphism(n) == 0 else n + 1
+
+
+def odious_by_pairs(k: int) -> int:
+    """The k-th odious number (1-indexed): the other member of evil_by_pairs's
+    pair {2j, 2j + 1}, whose two members sum to 4j + 1."""
+    return 4 * (k - 1) + 1 - evil_by_pairs(k)
+
+
+def a048883_by_halving(n: int) -> int:
+    """3 to the binary weight of n by the recurrence a(0) = 1, a(2n) = a(n),
+    a(2n + 1) = 3a(n), unrolled over the binary digits of n."""
+    if n < 0:
+        raise ValueError(f"a048883 is defined for n >= 0, got {n}")
+    value = 1
+    while n:
+        if n & 1:
+            value *= 3
+        n >>= 1
+    return value
+
+
+def a128975_by_ordered_count(n: int) -> int:
+    """A128975 from the ordered P-positions: an even n >= 2 has a048883(n/2)
+    ordered triples (a, b, c) with a + b + c = n and a ^ b ^ c = 0.  Three of
+    them hold a zero heap, (0, n/2, n/2) in each order, and every triple of
+    non-zero heaps has three distinct heaps, so it is counted six times.  An odd
+    n has none, as a ^ b ^ c has the parity of a + b + c."""
+    if n < 1:
+        raise ValueError(f"a128975 is defined for n >= 1, got {n}")
+    return 0 if n & 1 else (a048883_by_halving(n // 2) - 3) // 6
 
 
 def max_run(word: str, symbol: str) -> int:
@@ -210,6 +268,79 @@ def a003071_simulate(n: int) -> int:
     return total
 
 
+def a003071_suffix_sum(n: int) -> int:
+    """A003071 at n as a sum over the suffixes of n, one set bit at a time.
+
+    The merge rule a(2**k + x) = a(2**k) + a(x) + 2**k + x - 1, with
+    a(2**k) = (k-1) * 2**k + 1, peels one set bit of n per merge.  Let the
+    suffixes m of n be n, then n with its top bit cleared, and so on down to
+    lowbit(n), and let k = m.bit_length() - 1.  Each suffix adds
+    (k-1) * 2**k + 1, and each but the last a merge cost m - 1.  The 2**k sum to
+    n, so a(n) = 1 - n - lowbit(n) + sum of (m + k * 2**k).
+    """
+    if n < 1:
+        raise ValueError(f"a003071 is defined for n >= 1, got {n}")
+    total = 1 - n - (n & -n)
+    while n:
+        k = n.bit_length() - 1
+        total += n + (k << k)
+        n ^= 1 << k
+    return total
+
+
+def a001855_by_blocks(n: int) -> int:
+    """Binary-insertion comparisons, the sum of ceil(log2 k) over k = 1..n, taken
+    one block at a time: the 2**(j-1) values 2**(j-1) < k <= 2**j cost j each."""
+    if n < 1:
+        raise ValueError(f"a001855 is defined for n >= 1, got {n}")
+    total, cost, low = 0, 1, 1
+    while low < n:
+        total += cost * (min(2 * low, n) - low)
+        cost, low = cost + 1, 2 * low
+    return total
+
+
+def a113474_by_halving(n: int) -> int:
+    """a113474 at n by its recursion a(n) = a(n//2) + n//2, a(1) = 1, unrolled."""
+    if n < 1:
+        raise ValueError(f"a113474 is defined for n >= 1, got {n}")
+    value = 1
+    while n > 1:
+        n //= 2
+        value += n
+    return value
+
+
+def a101925_by_halving(k: int) -> int:
+    """a101925 at k by its recursion b(k) = b(k//2) + k, b(0) = 1, unrolled."""
+    if k < 0:
+        raise ValueError(f"a101925 is defined for k >= 0, got {k}")
+    value = 1
+    while k:
+        value += k
+        k //= 2
+    return value
+
+
+def two_adic_valuation_of_factorial(n: int) -> int:
+    """v2(n!) by Legendre's formula, the sum of floor(n / 2**j) over j >= 1."""
+    if n < 0:
+        raise ValueError(f"factorials are defined for n >= 0, got {n}")
+    total = 0
+    while n:
+        n //= 2
+        total += n
+    return total
+
+
+def a092524_by_trial(n: int) -> int:
+    """A092524 at n: the binary digits of n summed as powers of its smallest
+    prime factor, found by trial division; any base reads n = 1 as 1."""
+    if n < 1:
+        raise ValueError(f"a092524 is defined for n >= 1, got {n}")
+    return 1 if n == 1 else reinterpret_binary_by_powers(n, smallest_prime_factor_trial(n))
+
+
 def a113474_prefix(count: int) -> list[int]:
     """First `count` terms of a113474 (indices 1..count) by the recursion
     a(n) = a(n//2) + n//2, a(1) = 1."""
@@ -308,8 +439,9 @@ def a247303_direct(n: int) -> int:
 
 
 def master_prefix_direct(length: int) -> list[int]:
-    """First `length` master-sequence bits, one direct-form master_m call each."""
-    return [master_m(n) for n in range(length)]
+    """First `length` master-sequence bits by the direct per-index form, the
+    window of m, in place of master_prefix's doubling."""
+    return master_m_terms(0, max(length, 0))
 
 
 def master_m_recursive(n: int) -> int:

@@ -8,11 +8,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import a029886_prefix, a122248_prefix, a247303_prefix
-from seqparity import convolution, digits, nim, parity, sorting
+from oracles import (
+    a001855_by_blocks,
+    a003071_suffix_sum,
+    a029886_prefix,
+    a048883_by_halving,
+    a092524_by_trial,
+    a101925_by_halving,
+    a113474_by_halving,
+    a122248_prefix,
+    a128975_by_ordered_count,
+    a247303_prefix,
+    evil_by_pairs,
+    master_m_recursive,
+    odious_by_pairs,
+    reinterpret_binary_by_powers,
+    thue_morse_by_morphism,
+    two_adic_valuation_of_factorial,
+)
 from seqparity.catalogue import CATALOGUE
-from seqparity.digits import reinterpret_binary, smallest_prime_factor
-from seqparity.sorting import a003071
 from seqparity.verify import W
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -56,12 +70,12 @@ def test_a_reversed_window_is_empty(seq_id):
 # The generators that compute a window without its prefix, each against a
 # prefix from an independent route: the halving recurrence fed by its own
 # earlier terms, partial sums of the a113474 recursion, and the per-term
-# suffix sum of A003071.
+# suffix sum of A003071, which the package does not use.
 PREFIX_ORACLES = {
     "A247303": a247303_prefix,
     "A029886": a029886_prefix,
     "A122248": a122248_prefix,
-    "A003071": lambda count: [None, *map(a003071, range(1, count))],
+    "A003071": lambda count: [None, *map(a003071_suffix_sum, range(1, count))],
 }
 LIMIT = 70_000
 # windows that straddle a power of two, or a multiple of the verifier's W
@@ -102,27 +116,28 @@ def test_drawn_windows_below_the_limit_match(windowed, start, width):
     assert seq.terms(start, stop) == prefix[start:stop]
 
 
-# The windows that evaluate one formula per index, each against its per-index
-# scalar; A092524's scalar is its own one-term window, so its oracle re-reads
-# the binary digits of n in the base of n's smallest prime factor.
+# The windows that evaluate one formula per index, each against a per-index
+# route from oracles.py that shares no formula with it.  The package's own
+# scalars are one-term windows, so they cannot serve here.  The Thue-Morse
+# letters come from the morphism read digit by digit, never from a binary
+# weight; the deep windows need routes that cost O(log n) a term.
 SCALARS = {
-    "A010060": parity.thue_morse,
-    "A010059": parity.thue_morse_bar,
-    "A001969": parity.evil,
-    "A000069": parity.odious,
-    "m": parity.master_m,
-    "A228495": parity.a228495,
-    "A048883": lambda n: 3 ** parity.binary_weight(n),
-    "A128975": nim.a128975_closed,
-    "A102393": digits.a102393,
-    "A001285": convolution.a001285,
-    "A104258": digits.a104258,
-    "A001855": sorting.a001855,
-    "A113474": sorting.a113474,
-    "A101925": sorting.a101925,
-    "A005187": sorting.a005187,
-    # any base reads n = 1 as 1
-    "A092524": lambda n: reinterpret_binary(n, smallest_prime_factor(n) if n > 1 else 2),
+    "A010060": thue_morse_by_morphism,
+    "A010059": lambda n: 1 - thue_morse_by_morphism(n),
+    "A001969": evil_by_pairs,
+    "A000069": odious_by_pairs,
+    "m": master_m_recursive,
+    "A228495": lambda n: n & 1 and thue_morse_by_morphism(n),
+    "A048883": a048883_by_halving,
+    "A128975": a128975_by_ordered_count,
+    "A102393": lambda n: 0 if thue_morse_by_morphism(n) else n + 1,
+    "A001285": lambda n: 1 + thue_morse_by_morphism(n),
+    "A104258": lambda n: reinterpret_binary_by_powers(n, n),
+    "A001855": a001855_by_blocks,
+    "A113474": a113474_by_halving,
+    "A101925": a101925_by_halving,
+    "A005187": lambda n: two_adic_valuation_of_factorial(2 * n),
+    "A092524": a092524_by_trial,
 }
 
 
@@ -170,12 +185,12 @@ def test_a092524_window_at_one_even_n_and_primes_above_36():
     assert window[0] == 1
     assert all(window[n - 1] == n for n in range(2, 200, 2))
     for p in (37, 41, 43, 47, 193, 197, 199):
-        assert window[p - 1] == reinterpret_binary(p, p), p
+        assert window[p - 1] == reinterpret_binary_by_powers(p, p), p
     # 2**31 - 1 and 10**12 + 39 are prime
     for p in (2**31 - 1, 10**12 + 39):
         window = CATALOGUE["A092524"].terms(p - 2, p + 2)
         assert window == [SCALARS["A092524"](n) for n in range(p - 2, p + 2)], p
-        assert window[1:] == [p - 1, reinterpret_binary(p, p), p + 1], p
+        assert window[1:] == [p - 1, reinterpret_binary_by_powers(p, p), p + 1], p
 
 
 # The layer each generator's time counts under in the benchmark's traces:

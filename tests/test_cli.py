@@ -18,13 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import a029886_by_digits, a247303_by_digits, build_parser_eager
+from oracles import (
+    a003071_suffix_sum,
+    a029886_by_digits,
+    a113474_by_halving,
+    a247303_by_digits,
+    build_parser_eager,
+    master_m_recursive,
+)
 from seqparity import oeis
 from seqparity.catalogue import CATALOGUE, parity_catalogue
 from seqparity.cli import build_parser, main, parse_args
 from seqparity.lcm_sums import a061297
-from seqparity.parity import master_m
-from seqparity.sorting import a003071, a113474
 
 
 def run_cli(capsys, *argv):
@@ -884,8 +889,10 @@ def test_gen_at_a_deep_start_is_bounded(capsys, seq_id):
     ns = range(start, start + 64)
     if seq_id == "A122248":
         # partial sums of a113474, with every term's parity 1 - m(n)
-        assert [b - a for a, b in zip(values, values[1:])] == [a113474(n) for n in ns[1:]]
-        assert [v & 1 for v in values] == [1 - master_m(n) for n in ns]
+        assert [b - a for a, b in zip(values, values[1:])] == [
+            a113474_by_halving(n) for n in ns[1:]
+        ]
+        assert [v & 1 for v in values] == [1 - master_m_recursive(n) for n in ns]
     else:
         oracle = a247303_by_digits if seq_id == "A247303" else a029886_by_digits
         assert values == [oracle(n) for n in ns]
@@ -902,7 +909,7 @@ def test_gen_of_a003071_one_below_a_deep_power_of_two(capsys):
     start = 2**1200 - 1
     code, out, err = run_cli(capsys, "gen", "A003071", "--from", str(start), "--count", "2")
     assert (code, err) == (0, "")
-    assert out == f"{a003071(start)}\n{a003071(start + 1)}\n"
+    assert out == f"{a003071_suffix_sum(start)}\n{a003071_suffix_sum(start + 1)}\n"
 
 
 # Peak memory of one verify in a fresh interpreter, above what it holds once

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import binary_digits, reinterpret_binary_by_powers, smallest_prime_factor_trial
+from oracles import (
+    a092524_by_trial,
+    binary_digits,
+    reinterpret_binary_by_powers,
+    smallest_prime_factor_trial,
+)
 from seqparity import digits
 from seqparity.digits import (
     a092524,
@@ -89,10 +94,7 @@ def spf_by_trial(start, stop):
 def test_window_sieve_matches_trial_division_below_2_14():
     assert spf_listing(1, 2**14) == spf_by_trial(1, 2**14)
     assert [smallest_prime_factor(n) for n in range(2, 2**14)] == spf_by_trial(2, 2**14)
-    assert a092524_terms(1, 2**14) == [
-        1 if n == 1 else reinterpret_binary_by_powers(n, smallest_prime_factor_trial(n))
-        for n in range(1, 2**14)
-    ]
+    assert a092524_terms(1, 2**14) == [a092524_by_trial(n) for n in range(1, 2**14)]
 
 
 @given(st.integers(min_value=1, max_value=10**7), st.integers(min_value=1, max_value=300))
@@ -112,7 +114,7 @@ def test_windows_that_straddle_a_prime_square(p):
 def test_windows_from_the_first_indices(start):
     for stop in range(start, 40):
         assert spf_listing(start, stop) == spf_by_trial(start, stop)
-        assert a092524_terms(start, stop) == [a092524(n) for n in range(start, stop)]
+        assert a092524_terms(start, stop) == [a092524_by_trial(n) for n in range(start, stop)]
 
 
 def primes_by_trial(lo, hi):

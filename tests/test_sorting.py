@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import a003071_simulate, a113474_prefix, a122248_by_weights, a122248_prefix
+from oracles import (
+    a003071_simulate,
+    a003071_suffix_sum,
+    a113474_prefix,
+    a122248_by_weights,
+    a122248_prefix,
+    two_adic_valuation_of_factorial,
+)
 from seqparity.parity import master_prefix, thue_morse_bar
 from seqparity.sorting import (
     a001855,
@@ -56,16 +63,6 @@ def halving_recursion(count: int) -> list[int]:
     return values
 
 
-def legendre_two_adic_valuation_of_factorial(n: int) -> int:
-    """Oracle: v2(n!) by summing floor(n / 2**j)."""
-    total = 0
-    power = 2
-    while power <= n:
-        total += n // power
-        power *= 2
-    return total
-
-
 @pytest.mark.parametrize("n, expected", [(1, 0), (5, 9), (16, 49)])
 def test_a003071_examples(n, expected):
     assert a003071(n) == expected
@@ -91,14 +88,17 @@ def test_recursion_matches_simulation():
 
 
 def test_suffix_sum_matches_simulation_beyond_4096():
+    # the two reference routes, and the scalar, which is the window's one-term case
     near_powers = [2**k + d for k in range(12, 19) for d in (-1, 0, 1)]
     stride = range(4097, 2**17, 2**17 // 40 + 1)
     for n in [*near_powers, *stride]:
-        assert a003071(n) == a003071_simulate(n), n
+        assert a003071_suffix_sum(n) == a003071_simulate(n) == a003071(n), n
 
 
+# The windows below are checked against the per-term suffix sum of oracles.py,
+# a per-index route that shares no code with the window's merge rule.
 def test_range_generator_matches_the_scalar_from_the_offset():
-    assert a003071_terms(1, 2**17) == [a003071(n) for n in range(1, 2**17)]
+    assert a003071_terms(1, 2**17) == [a003071_suffix_sum(n) for n in range(1, 2**17)]
 
 
 # windows that start high read a(r) from their own lower windows, and windows
@@ -116,13 +116,13 @@ def test_range_generator_matches_the_scalar_from_the_offset():
     ],
 )
 def test_range_generator_matches_the_scalar_on_windows(start, stop):
-    assert a003071_terms(start, stop) == [a003071(n) for n in range(start, stop)]
+    assert a003071_terms(start, stop) == [a003071_suffix_sum(n) for n in range(start, stop)]
 
 
 @given(st.integers(min_value=1, max_value=2**20), st.integers(min_value=0, max_value=3000))
 def test_range_generator_matches_the_scalar_on_drawn_windows(start, width):
     stop = start + width
-    assert a003071_terms(start, stop) == [a003071(n) for n in range(start, stop)]
+    assert a003071_terms(start, stop) == [a003071_suffix_sum(n) for n in range(start, stop)]
 
 
 def test_range_generator_rejects_a_start_below_one():
@@ -177,7 +177,7 @@ def test_a005187_examples(n, expected):
 
 def test_a005187_equals_factorial_valuation():
     assert all(
-        a005187(n) == legendre_two_adic_valuation_of_factorial(2 * n)
+        a005187(n) == two_adic_valuation_of_factorial(2 * n)
         for n in range(2**10 + 1)
     )
 

@@ -27,12 +27,57 @@ CHEAP = "cheap"
 BIGNUM_HEAVY = "bignum-heavy"
 
 
-@dataclass(frozen=True)
-class ParityRelation:
+class Record:
+    """Base of the package's plain record types.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    gets a dataclass-style repr, ``==`` on the field tuple and pickling from
+    them; it is not hashable.  The records are not dataclasses because the
+    dataclass decorator generates and compiles such methods at every import.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class FrozenRecord(Record):
+    """A Record whose fields are set once, by ``object.__setattr__`` in
+    ``__init__``, and hashed on as a tuple."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ParityRelation(FrozenRecord):
     """Assertion that parity(A(n)) == complement XOR m(n + shift)."""
 
-    shift: int
-    complement: bool
+    __slots__ = __match_args__ = ("shift", "complement")
+
+    def __init__(self, shift: int, complement: bool) -> None:
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "complement", complement)
 
     def describe(self) -> str:
         core = "m(n)" if self.shift == 0 else f"m(n{self.shift:+d})"

@@ -8,6 +8,7 @@ an offset mismatch included; 2 a usage or input error or unwritable output.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from pathlib import Path
@@ -219,10 +220,31 @@ def _drop_unwritable_stdout() -> None:
         os.close(devnull)
 
 
+def _completing_stdout():
+    """A text stream on stdout's descriptor that writes all it is given or
+    raises, if stdout is unbuffered, else None.
+
+    Unbuffered stdio (python -u, PYTHONUNBUFFERED) puts stdout's text layer
+    straight on the raw file, and the text layer ignores the count a short
+    write returns, so the rest of the text is dropped without an error: a
+    pipe its reader closes mid-write, a disk that fills.  A buffered writer
+    repeats a short write until all of it is written or the write fails.  The
+    stream flushes at every line feed, as unbuffered output goes out at once,
+    and never closes the descriptor.
+    """
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        return None
+    return open(raw.fileno(), "w", buffering=1, encoding=sys.stdout.encoding,
+                errors=sys.stdout.errors, closefd=False)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parse_args(argv)
+    stdout = sys.stdout
+    sys.stdout = _completing_stdout() or stdout
     # exact terms outgrow the interpreter's int/str conversion limit (4300
     # digits since 3.11): lift it while the command runs, for writing values
     # and for reading b-file rows, and give the caller's limit back after
@@ -241,6 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
+        sys.stdout = stdout
         if int_digits:
             sys.set_int_max_str_digits(int_digits)
 

@@ -13,9 +13,12 @@ def a128975_closed(n: int) -> int:
 
 def a128975_terms(start: int, stop: int) -> list[int]:
     """Window of a128975_closed.  An even n has the binary weight w of n/2,
-    so its term is read from a table of (3**(w-1) - 1) / 2; an even n below
-    stop has w < stop.bit_length()."""
+    so its term is read from a table of (3**(w-1) - 1) / 2.  An even n below
+    stop has w < stop.bit_length(), and n = start + d with d < stop - start
+    has w <= w(start) + w(d) <= w(start) + (stop - 1 - start).bit_length(),
+    so a window deep above a light start keeps its table short."""
     if start < 1:
         raise ValueError(f"a128975 is defined for n >= 1, got {start}")
-    half = [0, *((3 ** (w - 1) - 1) // 2 for w in range(1, stop.bit_length()))]
+    top = min(stop.bit_length() - 1, start.bit_count() + (stop - 1 - start).bit_length())
+    half = [0, *((3 ** (w - 1) - 1) // 2 for w in range(1, top + 1))]
     return [0 if n & 1 else half[n.bit_count()] for n in range(start, stop)]

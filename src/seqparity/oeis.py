@@ -16,14 +16,11 @@ import importlib.resources
 import itertools
 import operator
 import os
-import re
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
-from .catalogue import SequenceDescriptor
+from .catalogue import FrozenRecord, SequenceDescriptor
 
-_ID_PATTERN = re.compile(r"\AA(\d{6})\Z")
 _FIXTURE_PACKAGE = "seqparity"
 _CHUNK = 1 << 15  # characters of canonical text checked and split at a time
 
@@ -40,24 +37,24 @@ class OffsetMismatchError(ValueError):
     """Raised when a table's first index disagrees with the descriptor offset."""
 
 
-@dataclass(frozen=True)
-class BFileTable:
+class BFileTable(FrozenRecord):
     """Parsed b-file: a sequence id, the first index `start`, and one or more
     non-negative `values`, values[i] being the row of index start + i."""
 
-    sequence_id: str
-    start: int
-    values: tuple[int, ...]
+    __slots__ = __match_args__ = ("sequence_id", "start", "values")
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, sequence_id: str, start: int, values: tuple[int, ...]) -> None:
+        if not values:
             raise BFileFormatError("no '<index> <value>' rows")
-        if min(self.values) < 0:
-            value = next(v for v in self.values if v < 0)
+        if min(values) < 0:
+            value = next(v for v in values if v < 0)
             raise BFileFormatError(
-                f"negative value {value} at index {self.start + self.values.index(value)}; "
+                f"negative value {value} at index {start + values.index(value)}; "
                 "all catalogued sequences are non-negative"
             )
+        object.__setattr__(self, "sequence_id", sequence_id)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -65,10 +62,10 @@ class BFileTable:
 
 def bfile_name(sequence_id: str) -> str:
     """Canonical b-file filename for an OEIS id, e.g. A061297 -> b061297.txt."""
-    match = _ID_PATTERN.match(sequence_id)
-    if match is None:
+    # "A" and six digits of Unicode category Nd, those a regex's \d matches
+    if not (len(sequence_id) == 7 and sequence_id[0] == "A" and sequence_id[1:].isdecimal()):
         raise ValueError(f"{sequence_id!r} is not an OEIS sequence id")
-    return f"b{match.group(1)}.txt"
+    return f"b{sequence_id[1:]}.txt"
 
 
 def bfile_url(sequence_id: str) -> str:

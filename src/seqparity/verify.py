@@ -13,13 +13,13 @@ stay bounded however far the range reaches.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import islice
 from time import perf_counter
 
 from .catalogue import (
     BIGNUM_HEAVY,
     ParityRelation,
+    Record,
     SequenceDescriptor,
     parity_catalogue,
 )
@@ -121,21 +121,41 @@ def fit_relation(seq: SequenceDescriptor, n_max: int) -> ParityRelation | None:
     return _PackedParities(seq.offset, n_max, _parity_word(seq, n_max), MAX_SHIFT).fit()
 
 
-@dataclass
-class SequenceCheck:
+class SequenceCheck(Record):
     """Outcome of checking one sequence: the claim's fate and the fitted relation,
-    plus the seconds spent generating its parities and checking and fitting them."""
+    plus the seconds spent generating its parities and checking and fitting them.
+    The mismatch sample defaults to a new empty list."""
 
-    sequence_id: str
-    offset: int
-    n_max: int
-    claimed: ParityRelation
-    claimed_mismatch_count: int = 0
-    claimed_mismatch_sample: list[int] = field(default_factory=list)
-    fitted: ParityRelation | None = None
-    error: str | None = None
-    generate_s: float = 0.0
-    fit_s: float = 0.0
+    __slots__ = __match_args__ = (
+        "sequence_id", "offset", "n_max", "claimed", "claimed_mismatch_count",
+        "claimed_mismatch_sample", "fitted", "error", "generate_s", "fit_s",
+    )
+
+    def __init__(
+        self,
+        sequence_id: str,
+        offset: int,
+        n_max: int,
+        claimed: ParityRelation,
+        claimed_mismatch_count: int = 0,
+        claimed_mismatch_sample: list[int] | None = None,
+        fitted: ParityRelation | None = None,
+        error: str | None = None,
+        generate_s: float = 0.0,
+        fit_s: float = 0.0,
+    ) -> None:
+        self.sequence_id = sequence_id
+        self.offset = offset
+        self.n_max = n_max
+        self.claimed = claimed
+        self.claimed_mismatch_count = claimed_mismatch_count
+        self.claimed_mismatch_sample = (
+            [] if claimed_mismatch_sample is None else claimed_mismatch_sample
+        )
+        self.fitted = fitted
+        self.error = error
+        self.generate_s = generate_s
+        self.fit_s = fit_s
 
     @property
     def claimed_passed(self) -> bool | None:
@@ -184,13 +204,18 @@ class SequenceCheck:
         )
 
 
-@dataclass
-class VerificationReport:
-    """Per-sequence results in catalogue order, plus the ranges used."""
+class VerificationReport(Record):
+    """Per-sequence results in catalogue order, plus the ranges used; the
+    checks default to a new empty list."""
 
-    n_max_cheap: int
-    n_max_heavy: int
-    checks: list[SequenceCheck] = field(default_factory=list)
+    __slots__ = __match_args__ = ("n_max_cheap", "n_max_heavy", "checks")
+
+    def __init__(
+        self, n_max_cheap: int, n_max_heavy: int, checks: list[SequenceCheck] | None = None
+    ) -> None:
+        self.n_max_cheap = n_max_cheap
+        self.n_max_heavy = n_max_heavy
+        self.checks = [] if checks is None else checks
 
     def all_fitted(self) -> bool:
         return all(c.fitted is not None and c.error is None for c in self.checks)

@@ -467,6 +467,24 @@ def test_a_fresh_interpreter_imports_the_network_stack_and_json_only_when_used(c
         assert (result.returncode, result.stdout, result.stderr) == run_cli(capsys, *argv)
 
 
+def test_a_fresh_interpreter_defines_one_dataclass_only():
+    # the dataclass decorator generates and compiles its methods at every
+    # import, so the records are plain classes; SequenceDescriptor stays a
+    # dataclass because perfbench/tracing.py rebuilds each catalogued one with
+    # dataclasses.replace to wrap its generator in a span
+    probe = (
+        "import dataclasses, sys, seqparity.cli\n"
+        "print(sorted(f'{m}.{n}' for m, module in list(sys.modules.items())"
+        " if m.startswith('seqparity') for n, obj in vars(module).items()"
+        " if dataclasses.is_dataclass(obj) and getattr(obj, '__module__', '') == m))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_source_env()
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "['seqparity.catalogue.SequenceDescriptor']\n"
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["gen"])  # missing required id
@@ -791,6 +809,10 @@ NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="nee
 @pytest.mark.parametrize("target, argv", [
     # more than a buffer's worth fails in write(), a few terms only in flush()
     pytest.param("closed pipe", ["gen", "A010060", "--count", "20000"], id="pipe-gen"),
+    # 600 KB, more than a pipe holds, so the reader closes it mid-write: raw
+    # unbuffered stdout then sees a short write, not an error
+    pytest.param("pipe closed mid-stream", ["gen", "A010060", "--count", "300000"],
+                 id="pipe-mid-stream-gen"),
     pytest.param("/dev/full", ["gen", "A010060", "--count", "5"], marks=NEEDS_DEV_FULL,
                  id="full-gen"),
     pytest.param("/dev/full", ["verify", "all", "--format", "json", "--n-max", "64",
@@ -802,22 +824,31 @@ def test_unwritable_stdout_of_the_process_is_one_line_exit_two(target, argv, unb
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    if target == "closed pipe":
-        read_end, stdout = os.pipe()
-        os.close(read_end)
-    else:
+    read_end = None
+    if target == "/dev/full":
         stdout = os.open(target, os.O_WRONLY)
+    else:
+        read_end, stdout = os.pipe()
+    if target == "closed pipe":
+        os.close(read_end)
     try:
-        result = subprocess.run(
+        child = subprocess.Popen(
             [sys.executable, "-m", "seqparity", *argv],
             stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
         )
     finally:
         os.close(stdout)
-    assert result.returncode == 2
-    assert result.stderr.count("\n") == 1
-    assert result.stderr.startswith("error: [Errno ")
-    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+    if target == "pipe closed mid-stream":
+        try:
+            head = os.read(read_end, 10)
+        finally:
+            os.close(read_end)
+        assert head == b"0\n1\n1\n0\n1\n"
+    stderr = child.communicate(timeout=120)[1]
+    assert child.returncode == 2
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error: [Errno ")
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
 
 
 def test_an_unreadable_input_leaves_stdout_alone(capsys, tmp_path):
@@ -828,6 +859,17 @@ def test_an_unreadable_input_leaves_stdout_alone(capsys, tmp_path):
         assert main(["gen", "A010060", "--count", "4"]) == 0
     assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "0\n1\n1\n0\n"
     assert capsys.readouterr().err.startswith("error: [Errno 21] ")
+
+
+def test_an_unbuffered_stdout_is_given_back(tmp_path):
+    # the text layer straight on the raw file, as python -u makes sys.stdout
+    with open(tmp_path / "out.txt", "wb", buffering=0) as raw:
+        out = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+        with contextlib.redirect_stdout(out):
+            assert main(["gen", "A010060", "--count", "4"]) == 0
+            assert sys.stdout is out
+        out.write("end\n")
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "0\n1\n1\n0\nend\n"
 
 
 SMALL_INT = st.integers(-64, 64).map(str)

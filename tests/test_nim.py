@@ -2,7 +2,12 @@
 
 import pytest
 
-from oracles import a128975_bruteforce, ordered_p_count_bruteforce
+from oracles import (
+    a128975_bruteforce,
+    a128975_by_ordered_count,
+    ordered_p_count_bruteforce,
+    traced_peak,
+)
 from seqparity.catalogue import CATALOGUE
 from seqparity.nim import a128975_closed
 from seqparity.parity import master_m
@@ -58,6 +63,16 @@ def test_ordered_count_is_six_unordered_plus_three():
 
 def test_parity_follows_master_sequence():
     assert all(a128975_closed(n) % 2 == master_m(n) for n in range(1, 2**14 + 1))
+
+
+@pytest.mark.parametrize("n", [2**4000, 2**4000 + 6], ids=["2**4000", "2**4000+6"])
+def test_a_deep_term_of_low_weight_peaks_below_a_measured_bound(n):
+    # tracemalloc measured a 1,464-byte peak (Python 3.11) for either term.
+    # The parent built (3**(w-1) - 1) / 2 for every w below 4001, whatever
+    # the weights in the window, and peaked at 1,829,116 bytes.
+    value, peak = traced_peak(a128975_closed, n)
+    assert value == a128975_by_ordered_count(n)
+    assert peak < 16_000
 
 
 def test_domain_errors():

@@ -1,6 +1,7 @@
 """b-file parsing, serialization, fixtures, cross-checking, and retrieval."""
 
 import http.client
+import re
 import sys
 import urllib.request
 
@@ -320,6 +321,42 @@ def test_bfile_naming():
         bfile_name("m")
     with pytest.raises(ValueError):
         bfile_name("A1234")
+
+
+def _bfile_name_by_regex(sequence_id: str) -> str | None:
+    """The b-file name by the regex bfile_name once matched, None for a non-id."""
+    match = re.match(r"\AA(\d{6})\Z", sequence_id)
+    return None if match is None else f"b{match.group(1)}.txt"
+
+
+def _bfile_name_or_none(sequence_id: str) -> str | None:
+    try:
+        return bfile_name(sequence_id)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("sequence_id", [
+    "A000001", "A000001\n", "A00001", "A0000001", "a000001", "B000001", "A", "",
+    " A000001", "A-00001", "A+00001", "A 00001", "A00_001",
+    "A\u0660\u0660\u0660\u0660\u0660\u0661",  # Arabic-Indic digits, category Nd
+    "A\uff10\uff10\uff10\uff10\uff10\uff11",  # fullwidth digits, Nd
+    "A00000\u00b9",  # superscript one: a digit to isdigit(), category No
+    "A00000\u2160",  # Roman numeral one: numeric, category Nl
+])
+def test_bfile_name_takes_the_ids_a_regex_digit_does(sequence_id):
+    assert _bfile_name_or_none(sequence_id) == _bfile_name_by_regex(sequence_id)
+
+
+# ASCII digits, Nd digits of three scripts, an No and an Nl numeral, and a
+# few non-digits
+ID_TAIL = st.text(st.sampled_from("0123456789\u0661\u0967\uff11\u00b9\u2160\nAx "),
+                  min_size=5, max_size=8)
+
+
+@given(ID_TAIL.map("A".__add__))
+def test_bfile_name_agrees_with_the_regex_on_any_tail(sequence_id):
+    assert _bfile_name_or_none(sequence_id) == _bfile_name_by_regex(sequence_id)
 
 
 @pytest.mark.parametrize("seq_id", FIXTURE_IDS)

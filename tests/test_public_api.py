@@ -1,6 +1,10 @@
-"""The public surface: README's Library example and the names seqparity exports."""
+"""The public surface: README's Library example, the names seqparity exports
+and the behaviour of its four record types."""
 
+import copy
 import doctest
+import inspect
+import pickle
 import pkgutil
 import re
 from pathlib import Path
@@ -8,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import seqparity
+from seqparity.oeis import BFileFormatError
+from seqparity.verify import SequenceCheck
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -86,3 +92,111 @@ def test_a_scalar_returns_a_plain_int(name):
     scalar, offset = getattr(seqparity, name), PER_INDEX_SCALARS[name][0] + 1
     for n in (offset, offset + 1, 15, 16, 17, 1000):
         assert type(scalar(n)) is int, n
+
+
+# The four record types: constructor, attributes, equality, hashing, frozenness
+# and repr, which the README example prints for a ParityRelation.
+REL = seqparity.ParityRelation(shift=-1, complement=False)
+TABLE = seqparity.BFileTable("A000001", 0, (1, 2))
+
+
+def _check(**fields):
+    return SequenceCheck("A000001", 0, 32, seqparity.ParityRelation(0, False), **fields)
+
+
+RECORDS = {
+    "ParityRelation": (
+        REL,
+        ("shift", "complement"),
+        "ParityRelation(shift=-1, complement=False)",
+    ),
+    "BFileTable": (
+        TABLE,
+        ("sequence_id", "start", "values"),
+        "BFileTable(sequence_id='A000001', start=0, values=(1, 2))",
+    ),
+    "SequenceCheck": (
+        _check(),
+        ("sequence_id", "offset", "n_max", "claimed", "claimed_mismatch_count",
+         "claimed_mismatch_sample", "fitted", "error", "generate_s", "fit_s"),
+        "SequenceCheck(sequence_id='A000001', offset=0, n_max=32, "
+        "claimed=ParityRelation(shift=0, complement=False), claimed_mismatch_count=0, "
+        "claimed_mismatch_sample=[], fitted=None, error=None, generate_s=0.0, fit_s=0.0)",
+    ),
+    "VerificationReport": (
+        seqparity.VerificationReport(64, 32),
+        ("n_max_cheap", "n_max_heavy", "checks"),
+        "VerificationReport(n_max_cheap=64, n_max_heavy=32, checks=[])",
+    ),
+}
+FROZEN = {"ParityRelation", "BFileTable"}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_a_record_keeps_its_fields_repr_and_equality(name):
+    record, fields, text = RECORDS[name]
+    cls = type(record)
+    assert cls.__match_args__ == fields
+    assert list(inspect.signature(cls).parameters) == list(fields)
+    assert repr(record) == text
+    values = [getattr(record, field) for field in fields]
+    assert cls(*values) == record == cls(**dict(zip(fields, values)))
+    assert record != tuple(values) and record != object()
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.copy(record) == record == copy.deepcopy(record)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_a_record_is_frozen_and_hashed_or_mutable_and_unhashable(name):
+    record, fields, _ = RECORDS[name]
+    if name in FROZEN:
+        assert hash(record) == hash(tuple(getattr(record, field) for field in fields))
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], getattr(record, fields[0]))
+        with pytest.raises(AttributeError):
+            delattr(record, fields[0])
+    else:
+        assert type(record).__hash__ is None
+        with pytest.raises(TypeError):
+            hash(record)
+        changed = copy.copy(record)
+        setattr(changed, fields[0], 1)
+        assert getattr(changed, fields[0]) == 1 and changed != record
+
+
+def test_records_match_by_position():
+    match REL, TABLE:
+        case seqparity.ParityRelation(shift, complement), seqparity.BFileTable(_, start, values):
+            assert (shift, complement, start, values) == (-1, False, 0, (1, 2))
+        case _:
+            pytest.fail("no match")
+
+
+def test_record_equality_is_on_the_field_tuple():
+    assert seqparity.ParityRelation(1, True) != seqparity.ParityRelation(1, False)
+    assert seqparity.ParityRelation(0, False) == seqparity.ParityRelation(0, 0)
+    assert seqparity.BFileTable("", 1, (3,)) != seqparity.BFileTable("A000001", 1, (3,))
+    assert len({seqparity.ParityRelation(1, True), seqparity.ParityRelation(1, True)}) == 1
+    assert _check(fitted=REL) != _check() == _check(claimed_mismatch_sample=[])
+
+
+def test_bfile_table_keeps_its_length_and_errors():
+    assert len(TABLE) == 2
+    with pytest.raises(BFileFormatError, match=r"^no '<index> <value>' rows$"):
+        seqparity.BFileTable("A000001", 0, ())
+    with pytest.raises(BFileFormatError) as excinfo:
+        seqparity.BFileTable("A000001", 3, (0, -1, -2))
+    assert str(excinfo.value) == (
+        "negative value -1 at index 4; all catalogued sequences are non-negative"
+    )
+
+
+def test_mutable_records_default_to_a_fresh_list_each():
+    first, second = _check(), _check()
+    first.claimed_mismatch_sample.append(5)
+    assert second.claimed_mismatch_sample == [] and _check().claimed_mismatch_sample == []
+    report, other = seqparity.VerificationReport(64, 32), seqparity.VerificationReport(64, 32)
+    report.checks.append(first)
+    assert other.checks == [] and seqparity.VerificationReport(64, 32).checks == []
+    assert (_check().claimed_mismatch_count, _check().fitted, _check().error) == (0, None, None)
+    assert (_check().generate_s, _check().fit_s) == (0.0, 0.0)

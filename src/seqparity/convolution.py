@@ -30,6 +30,10 @@ from __future__ import annotations
 
 from itertools import count, islice
 
+from .parity import _thue_morse_bytes
+
+_ONE_TWO = bytes.maketrans(b"\0\1", b"\1\2")
+
 
 def a001285(n: int) -> int:
     """Thue-Morse over {1, 2}: 1 at evil n, 2 at odious n (i.e. 2 - tbar(n))."""
@@ -40,15 +44,16 @@ def a001285_terms(start: int, stop: int) -> list[int]:
     """Window of a001285: 1 + t(n)."""
     if start < 0:
         raise ValueError(f"a001285 is defined for n >= 0, got {start}")
-    return [1 + (n.bit_count() & 1) for n in range(start, stop)]
+    return list(_thue_morse_bytes(start, stop).translate(_ONE_TWO))
 
 
 def _halve(out: list[int], below: list[int], k_lo: int, k_hi: int) -> None:
     """Append a(2k), a(2k+1) for k = k_lo .. k_hi - 1 to out, reading a(k - 1)
     and a(k) from below, whose first term is a(k_lo - 1).  below may be out
     itself, when its terms come far enough ahead of the ones appended."""
-    for k, prev, a in zip(range(k_lo, k_hi), below, islice(below, 1, None)):
-        s, odd = 1 - 2 * (k.bit_count() & 1), k & 1
+    tm = _thue_morse_bytes(k_lo, k_hi)
+    for k, t, prev, a in zip(range(k_lo, k_hi), tm, below, islice(below, 1, None)):
+        s, odd = 1 - 2 * t, k & 1
         out.append(a + prev + odd * s)
         out.append(k + 1 - 2 * a + (1 - odd) * s)
 
@@ -82,8 +87,6 @@ def a247303_terms(start: int, stop: int) -> list[int]:
 
 def a247303(n: int) -> int:
     """Self-convolution of tbar at index n: the one-term window of a247303_terms."""
-    if n < 0:
-        raise ValueError(f"a247303 is defined for n >= 0, got {n}")
     return a247303_terms(n, n + 1)[0]
 
 
@@ -92,14 +95,13 @@ def a029886_terms(start: int, stop: int) -> list[int]:
     plus 2n + 4t(n) at even n and 2(n+1) at odd n."""
     if start < 0:
         raise ValueError(f"a029886 is defined for n >= 0, got {start}")
+    tm = _thue_morse_bytes(start, stop)
     return [
-        a + 2 * n + (2 if n & 1 else 4 * (n.bit_count() & 1))
-        for n, a in zip(count(start), a247303_terms(start, stop))
+        a + 2 * n + (2 if n & 1 else 4 * t)
+        for n, t, a in zip(count(start), tm, a247303_terms(start, stop))
     ]
 
 
 def a029886(n: int) -> int:
     """Self-convolution of a001285 at index n: the one-term window of a029886_terms."""
-    if n < 0:
-        raise ValueError(f"a029886 is defined for n >= 0, got {n}")
     return a029886_terms(n, n + 1)[0]

@@ -5,6 +5,9 @@ from __future__ import annotations
 from array import array
 from itertools import compress
 from math import isqrt
+from operator import mul
+
+from .parity import _FLIP, _thue_morse_bytes
 
 #: Primes up to this bound are sieved onto a whole window at once; larger ones,
 #: needed only above its square, are listed and applied one segment at a time.
@@ -130,4 +133,5 @@ def a102393_terms(start: int, stop: int) -> list[int]:
     """Window of a102393: n + 1 where the binary weight of n is even, else 0."""
     if start < 0:
         raise ValueError(f"a102393 is defined for n >= 0, got {start}")
-    return [0 if n.bit_count() & 1 else n + 1 for n in range(start, stop)]
+    evil = _thue_morse_bytes(start, stop).translate(_FLIP)
+    return list(map(mul, range(start + 1, stop + 1), evil))

@@ -42,9 +42,9 @@ window factors each n with `digits._spf_window`.
 The module keeps the last window it walked until one call is served from it:
 a range that lies inside the kept window is sliced from it and takes it, so
 the module then holds nothing; any other range is walked and kept in its place.
-A093431 is the a061297 window less one, so `verify all` walks the lcm sums
-once for both and ends holding no window, as long as its heavy range fits in
-one of verify's windows (n < verify.W); past that each walks its own windows.
+A093431 is the a061297 window less one, and `verify all` hands each of its
+windows to A061297 and then to A093431, so it walks the lcm sums once for
+both and ends holding no window.
 A long-lived process thus holds at most one window of terms, the last one it
 walked, and only until its first reuse: the window [0, 2049) is about 0.3 MB
 of integers, [0, 513) about 0.03 MB, and the one term at n = 19700 about

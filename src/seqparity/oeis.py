@@ -23,6 +23,7 @@ from .catalogue import FrozenRecord, SequenceDescriptor
 
 _FIXTURE_PACKAGE = "seqparity"
 _CHUNK = 1 << 15  # characters of canonical text checked and split at a time
+_INDEX_RUN = 512  # index tokens compared with one formatted run at a time
 
 
 class BFileFormatError(ValueError):
@@ -96,7 +97,8 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFileTable:
 
 def _parse_canonical(text: str) -> tuple[int, list[int]] | None:
     """The first index and the values of canonical b-file text, or None if
-    the text is not canonical, has a gap or has a token int() declines."""
+    the text is not canonical, has a gap, has an index not written as "%d"
+    writes it or has a value int() declines."""
     pos = 0
     while text.startswith("#", pos):  # the leading comment block
         pos = text.find("\n", pos) + 1
@@ -124,9 +126,15 @@ def _parse_canonical(text: str) -> tuple[int, list[int]] | None:
             tokens = chunk.split()
             if start is None:
                 start = int(tokens[0])
-            indices = map(int, tokens[0::2])
-            if not all(map(operator.eq, indices, itertools.count(start + len(values)))):
-                return None
+            # the indices as "%d" writes them, one run at a time; an index it
+            # would not write, such as 007 or -0, goes to the line loop
+            indices = tokens[0::2]
+            for lo in range(0, len(indices), _INDEX_RUN):
+                run = indices[lo : lo + _INDEX_RUN]
+                first = start + len(values) + lo
+                expected = b"%d " * len(run) % tuple(range(first, first + len(run)))
+                if b" ".join(run) + b" " != expected:
+                    return None
             values.extend(map(int, tokens[1::2]))
     except ValueError:  # a non-ASCII character, or a token int() does not read
         return None
@@ -211,11 +219,8 @@ def cross_check(
         )
     values = table.values[:limit]
     generated = seq.terms(seq.offset, seq.offset + len(values))
-    return [
-        (index, value, actual)
-        for index, (value, actual) in enumerate(zip(values, generated), table.start)
-        if actual != value
-    ]
+    rows = zip(itertools.count(table.start), values, generated)
+    return list(itertools.compress(rows, map(operator.ne, values, generated)))
 
 
 def fixture_table(sequence_id: str) -> BFileTable:

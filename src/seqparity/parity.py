@@ -5,13 +5,17 @@ sequence with zeros: m(2k) = tbar(k), m(2k+1) = 0.  Every parity relation
 checked elsewhere in this package is stated against m.
 
 Each sequence has a ``*_terms(start, stop)`` window, the values at
-n = start .. stop - 1, written on ``n.bit_count()``.  Its per-index scalar is
-the window's one-term case.
+n = start .. stop - 1.  Its per-index scalar is the window's one-term case.
+Every window of t, tbar or m reads t from `_thue_morse_bytes`, which builds
+it at C speed by doubling a block of bytes; A048883's window is written on
+``n.bit_count()``.
 """
 
 from __future__ import annotations
 
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+from operator import add
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def binary_weight(n: int) -> int:
@@ -55,46 +59,73 @@ def a228495(n: int) -> int:
     return a228495_terms(n, n + 1)[0]
 
 
+def _thue_morse_bytes(start: int, stop: int) -> bytes:
+    """t(n) for n = start .. stop - 1 (start >= 0), one byte of 0 or 1 each.
+
+    A block of t on [0, L), for L the least power of two at or above the
+    width, is doubled from one byte: t on [L, 2L) is t on [0, L) flipped.  As
+    t(jL + i) = t(j) XOR t(i) for i < L, t on [jL, (j+1)L) is the block,
+    flipped when t(j) = 1.  With j = start // L the window lies in blocks j
+    and j + 1, the second flipped when t(j + 1) = 1, so a window near 2**200
+    costs what one near 0 does.
+    """
+    width = max(stop - start, 0)
+    block = b"\0"
+    while len(block) < width:
+        block += block.translate(_FLIP)
+    j, i = divmod(start, len(block))
+    window = block.translate(_FLIP) if thue_morse(j) else block
+    if i + width > len(block):
+        window += block.translate(_FLIP) if thue_morse(j + 1) else block
+    return window[i : i + width]
+
+
 def thue_morse_terms(start: int, stop: int) -> list[int]:
     """Window of t, A010060."""
     if start < 0:
         raise ValueError(f"the Thue-Morse sequence is defined for n >= 0, got {start}")
-    return [n.bit_count() & 1 for n in range(start, stop)]
+    return list(_thue_morse_bytes(start, stop))
 
 
 def thue_morse_bar_terms(start: int, stop: int) -> list[int]:
     """Window of tbar, A010059."""
     if start < 0:
         raise ValueError(f"the negated Thue-Morse sequence is defined for n >= 0, got {start}")
-    return [~n.bit_count() & 1 for n in range(start, stop)]
+    return list(_thue_morse_bytes(start, stop).translate(_FLIP))
 
 
 def evil_terms(start: int, stop: int) -> list[int]:
     """Window of the evil numbers, A001969: 2j + t(j) for j = k - 1."""
     if start < 1:
         raise ValueError(f"evil numbers are 1-indexed, got k={start}")
-    return [2 * j + (j.bit_count() & 1) for j in range(start - 1, stop - 1)]
+    evens = range(2 * start - 2, 2 * stop - 2, 2)
+    return list(map(add, evens, _thue_morse_bytes(start - 1, stop - 1)))
 
 
 def odious_terms(start: int, stop: int) -> list[int]:
     """Window of the odious numbers, A000069: 2j + tbar(j) for j = k - 1."""
     if start < 1:
         raise ValueError(f"odious numbers are 1-indexed, got k={start}")
-    return [2 * j + (~j.bit_count() & 1) for j in range(start - 1, stop - 1)]
+    evens = range(2 * start - 2, 2 * stop - 2, 2)
+    return list(map(add, evens, _thue_morse_bytes(start - 1, stop - 1).translate(_FLIP)))
 
 
 def master_m_terms(start: int, stop: int) -> list[int]:
-    """Window of m: 0 at odd n, and tbar(n/2) = tbar(n) at even n."""
+    """Window of m: tbar(k) spread to the even positions n = 2k, 0 between."""
     if start < 0:
         raise ValueError(f"master sequence is defined for n >= 0, got {start}")
-    return [0 if n & 1 else ~n.bit_count() & 1 for n in range(start, stop)]
+    out = bytearray(max(stop - start, 0))
+    out[start & 1 :: 2] = _thue_morse_bytes((start + 1) // 2, (stop + 1) // 2).translate(_FLIP)
+    return list(out)
 
 
 def a228495_terms(start: int, stop: int) -> list[int]:
-    """Window of A228495: the low bits of n and of its binary weight, both set."""
+    """Window of A228495: t(n) at odd n, 0 at even n."""
     if start < 1:
         raise ValueError(f"a228495 is defined for n >= 1, got {start}")
-    return [n & n.bit_count() & 1 for n in range(start, stop)]
+    out = bytearray(_thue_morse_bytes(start, stop))
+    out[start & 1 :: 2] = bytes(len(range(start & 1, len(out), 2)))
+    return list(out)
 
 
 def a048883_terms(start: int, stop: int) -> list[int]:
@@ -105,17 +136,5 @@ def a048883_terms(start: int, stop: int) -> list[int]:
 
 
 def master_prefix(length: int) -> list[int]:
-    """First `length` master-sequence bits as a list of ints, built by doubling.
-
-    For a power of two L >= 2, m on [L, 2L) is m on [0, L) with every even
-    position complemented: m(L + 2k) = tbar(L/2 + k) = 1 - tbar(k) for k < L/2.
-    So the bits, packed into one int from m(0), m(1) = 1, 0, double in length
-    with one XOR against the even-position mask, one shift and one OR.
-    """
-    word, size = 0b01, 2
-    while size < length:
-        word |= (word ^ ((1 << size) - 1) // 3) << size
-        size <<= 1
-    length = max(length, 0)
-    digits = bin(word & ((1 << length) - 1))[:1:-1].encode().translate(_BIT_VALUES)
-    return list(digits.ljust(length, b"\0")[:length])
+    """First `length` master-sequence bits as a list of ints: the window of m from 0."""
+    return master_m_terms(0, max(length, 0))

@@ -13,7 +13,8 @@ stay bounded however far the range reaches.
 from __future__ import annotations
 
 import re
-from itertools import islice
+from collections.abc import Iterator
+from itertools import islice, zip_longest
 from time import perf_counter
 
 from .catalogue import (
@@ -44,25 +45,33 @@ def _set_bits(word: int, cap: int | None = None) -> list[int]:
     return [m.start() for m in islice(re.finditer("1", bin(word)[:1:-1]), cap)]
 
 
-def _parity_word(seq: SequenceDescriptor, n_max: int) -> int:
-    """The parities of seq's values at [offset, n_max], packed by _pack.
+def _windows(offset: int, n_max: int) -> Iterator[tuple[int, int]]:
+    """The windows [lo, hi) of [offset, n_max], from the top down.
 
-    The terms come one window at a time, [offset, W), [W, 2W) and so on up
-    to n_max, and each window's bits are packed and its terms dropped before
-    the next.  Bounded by multiples of W, the windows never straddle a power
-    of two above W.  They are taken from the top down, so a generator that
-    refuses the range's top (the lcm sums past sys.maxsize) raises before
-    any work is done.
+    Bounded by multiples of W, the windows never straddle a power of two
+    above W.  Taken from the top down, a generator that refuses the range's
+    top (the lcm sums past sys.maxsize) raises before any work is done.
     """
+    hi = n_max + 1
+    while hi > offset:
+        lo = max((hi - 1) // W * W, offset)
+        yield lo, hi
+        hi = lo
+
+
+def _window_parities(seq: SequenceDescriptor, lo: int, hi: int) -> int:
+    """The parities of seq's values at [lo, hi), packed by _pack and shifted
+    to their place in the parity word; the terms are dropped on return."""
+    return _pack([v & 1 for v in seq.terms(lo, hi)]) << (lo - seq.offset)
+
+
+def _parity_word(seq: SequenceDescriptor, n_max: int) -> int:
+    """The parities of seq's values at [offset, n_max], packed by _pack, one
+    window at a time."""
     if n_max < seq.offset:
         raise ValueError(f"n_max {n_max} is below the offset of {seq.id}")
-    word = 0
-    hi = n_max + 1
-    while hi > seq.offset:
-        lo = max((hi - 1) // W * W, seq.offset)
-        word |= _pack([v & 1 for v in seq.terms(lo, hi)]) << (lo - seq.offset)
-        hi = lo
-    return word
+    # the windows' bits are disjoint, so their sum is their OR
+    return sum(_window_parities(seq, lo, hi) for lo, hi in _windows(seq.offset, n_max))
 
 
 class _PackedParities:
@@ -238,41 +247,55 @@ class VerificationReport(Record):
         )
 
 
-def _check_sequence(seq: SequenceDescriptor, n_max: int) -> SequenceCheck:
-    check = SequenceCheck(
-        sequence_id=seq.id, offset=seq.offset, n_max=n_max, claimed=seq.claimed
-    )
+def _check_steps(seq: SequenceDescriptor, check: SequenceCheck) -> Iterator[None]:
+    """Fill in check for seq, one window of parities per step; after the last
+    window the claim is checked and the relation fitted.  An error is recorded
+    in check and ends the steps."""
     try:
-        reach = max(MAX_SHIFT, abs(seq.claimed.shift))
+        word = 0
+        for lo, hi in _windows(seq.offset, check.n_max):
+            started = perf_counter()
+            word |= _window_parities(seq, lo, hi)
+            check.generate_s += perf_counter() - started
+            yield
         started = perf_counter()
-        parities = _parity_word(seq, n_max)
-        generated = perf_counter()
-        check.generate_s = generated - started
-        packed = _PackedParities(seq.offset, n_max, parities, reach)
+        reach = max(MAX_SHIFT, abs(seq.claimed.shift))
+        packed = _PackedParities(seq.offset, check.n_max, word, reach)
         bad = packed.mismatches(seq.claimed)
         check.claimed_mismatch_count = bad.bit_count()
         check.claimed_mismatch_sample = _set_bits(bad, MISMATCH_SAMPLE_CAP)
         check.fitted = packed.fit()
-        check.fit_s = perf_counter() - generated
+        check.fit_s = perf_counter() - started
     except Exception as exc:  # aggregate failures instead of aborting the run
         check.error = f"{type(exc).__name__}: {exc}"
-    return check
 
 
 def verify_sequences(
     sequences: list[SequenceDescriptor], n_max_cheap: int, n_max_heavy: int
 ) -> VerificationReport:
     """Check each given sequence's claim and fit its relation, choosing the
-    range by cost class; every sequence must carry a claimed relation."""
+    range by cost class; every sequence must carry a claimed relation.
+
+    The sequences walk their windows in lockstep: each window goes to every
+    sequence before the next is taken, so the A093431 window is sliced from
+    the a061297 window that A061297 has just walked, however wide the range.
+    """
     for seq in sequences:
         if seq.claimed is None:
             raise ValueError(f"no parity relation is catalogued for {seq.id}")
     if n_max_cheap < 32 or n_max_heavy < 32:
         raise ValueError("verification ranges must be at least 32")
     report = VerificationReport(n_max_cheap=n_max_cheap, n_max_heavy=n_max_heavy)
+    steps = []
     for seq in sequences:
         n_max = n_max_heavy if seq.cost_class == BIGNUM_HEAVY else n_max_cheap
-        report.checks.append(_check_sequence(seq, n_max))
+        check = SequenceCheck(
+            sequence_id=seq.id, offset=seq.offset, n_max=n_max, claimed=seq.claimed
+        )
+        report.checks.append(check)
+        steps.append(_check_steps(seq, check))
+    for _ in zip_longest(*steps):  # one step of each sequence per round
+        pass
     return report
 
 

@@ -16,7 +16,7 @@ from math import lcm
 from typing import Iterable, Mapping
 
 from seqparity import __version__, cli
-from seqparity.parity import master_m_terms, thue_morse, thue_morse_bar
+from seqparity.parity import thue_morse, thue_morse_bar
 
 
 def traced_peak(func, *args):
@@ -439,9 +439,9 @@ def a247303_direct(n: int) -> int:
 
 
 def master_prefix_direct(length: int) -> list[int]:
-    """First `length` master-sequence bits by the direct per-index form, the
-    window of m, in place of master_prefix's doubling."""
-    return master_m_terms(0, max(length, 0))
+    """First `length` master-sequence bits, each on its own: m(2k) = tbar(k)
+    by the binary weight of k, and m(2k + 1) = 0, with no Thue-Morse window."""
+    return [0 if n & 1 else thue_morse_bar(n // 2) for n in range(length)]
 
 
 def master_m_recursive(n: int) -> int:

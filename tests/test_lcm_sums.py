@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lcm_range, quotient_term_is_odd, traced_peak
-from seqparity import lcm_sums
+from seqparity import lcm_sums, verify
+from seqparity.catalogue import CATALOGUE
 from seqparity.digits import _spf_window
 from seqparity.lcm_sums import (
     _a061297_window,
@@ -19,7 +20,7 @@ from seqparity.lcm_sums import (
     a093431_terms,
 )
 from seqparity.parity import master_m
-from seqparity.verify import verify_all
+from seqparity.verify import verify_all, verify_sequences
 
 A061297_PREFIX = [1, 2, 4, 8, 14, 32, 39, 114, 166, 266, 421, 1608]
 A093431_PREFIX = [1, 3, 7, 13, 31, 38, 113, 165, 265, 420, 1607, 1004]
@@ -318,6 +319,21 @@ def test_verify_all_walks_the_lcm_sums_once_and_keeps_no_window(kernel_calls):
     assert {check.sequence_id for check in report.checks} >= {"A061297", "A093431"}
     assert kernel_calls == [(0, 201)]
     assert lcm_sums._kept == lcm_sums._NO_WINDOW
+
+
+def test_verify_walks_each_lcm_term_once_across_many_windows(kernel_calls, monkeypatch):
+    # with W at 256, n_max 1500 takes six windows a sequence; walked one sequence
+    # after the other they cost 3001 terms, and in lockstep A093431 slices each
+    # window from the one A061297 has just walked
+    sequences = [CATALOGUE["A061297"], CATALOGUE["A093431"]]
+    one_window = verify_sequences(sequences, 64, 1500).to_text()
+    kernel_calls.clear()
+    monkeypatch.setattr(verify, "W", 256)
+    report = verify_sequences(sequences, 64, 1500)
+    assert kernel_calls == [(lo, min(lo + 256, 1501)) for lo in range(1280, -1, -256)]
+    assert sum(stop - start for start, stop in kernel_calls) == 1501
+    assert lcm_sums._kept == lcm_sums._NO_WINDOW
+    assert report.to_text() == one_window
 
 
 @pytest.mark.parametrize("start, stop", [(1, 1), (1, 2), (1, 40), (7, 12), (120, 131), (1020, 1030)])

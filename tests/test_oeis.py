@@ -314,6 +314,36 @@ def test_canonical_text_is_read_by_the_chunked_route(text):
     assert outcome(parse_bfile, text) == outcome(oeis._parse_lines, text)
 
 
+# int() reads an index of 007 as 7 and -0 as 0, which "%d" writes otherwise,
+# and +1 is no canonical token at all: each text gives the table or the error
+# it gives the line loop, as does a gap
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("5 1\n6 2\n007 3\n", (5, (1, 2, 3))),
+        ("007 1\n8 2\n", (7, (1, 2))),
+        ("-0 5\n1 6\n", (0, (5, 6))),
+        ("-1 4\n-0 5\n1 6\n", (-1, (4, 5, 6))),
+        (LONG.replace("\n5000 ", "\n05000 "), (0, tuple(range(1, 60_000, 3)))),
+        (LONG.replace("\n19999 ", "\n019999 "), (0, tuple(range(1, 60_000, 3)))),
+        ("0 1\n+1 2\n", "line 2: non-integer token in '+1 2'"),
+        ("+0 1\n1 2\n", "line 1: non-integer token in '+0 1'"),
+        ("0 1\n2 2\n", "index gap: 0 followed by 2"),
+        ("0 1\n1 2\n03 3\n", "index gap: 1 followed by 3"),
+        (LONG.replace("\n12345 37036\n", "\n"), "index gap: 12344 followed by 12346"),
+    ],
+    ids=["zero-padded", "zero-padded-first", "minus-zero-first", "minus-zero", "long-padded",
+         "long-padded-last", "plus", "plus-first", "gap", "padded-gap", "long-gap"],
+)
+def test_indices_that_printf_would_not_write_read_as_the_line_loop_reads_them(text, expected):
+    result = outcome(parse_bfile, text)
+    if isinstance(expected, str):
+        assert result == expected
+    else:
+        assert (result.start, result.values) == expected
+    assert result == outcome(oeis._parse_lines, text)
+
+
 def test_bfile_naming():
     assert bfile_name("A061297") == "b061297.txt"
     assert bfile_url("A061297") == "https://oeis.org/A061297/b061297.txt"

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import as_word, master_m_recursive, master_prefix_direct
+from oracles import as_word, master_m_recursive, master_prefix_direct, thue_morse_by_morphism
 from seqparity.catalogue import CATALOGUE
 from seqparity.parity import (
+    _thue_morse_bytes,
     a228495,
     binary_weight,
     evil,
@@ -124,6 +125,37 @@ def test_master_prefix_doubling_matches_direct_form():
     for k in range(9, 18):
         for length in (2**k - 1, 2**k, 2**k + 1):
             assert master_prefix(length) == master_prefix_direct(length), length
+    for length in (4101, 65541):
+        assert master_prefix(length) == master_prefix_direct(length), length
+
+
+def morphism_window(start, stop):
+    return bytes(thue_morse_by_morphism(n) for n in range(start, stop))
+
+
+def test_thue_morse_bytes_match_the_morphism_at_block_edges():
+    # a window of width w lies in the blocks j and j + 1 of the least power of
+    # two L >= w; j = 1, 2, 3 and 5 give (t(j), t(j + 1)) = (1, 1), (1, 0),
+    # (0, 1) and (0, 0), and starts of jL - 1 and jL + 1 straddle two blocks
+    for width in range(1, 71):
+        size = 1 << (width - 1).bit_length()
+        for j in (0, 1, 2, 3, 5):
+            for start in (j * size - 1, j * size, j * size + 1):
+                if start >= 0:
+                    stop = start + width
+                    assert _thue_morse_bytes(start, stop) == morphism_window(start, stop), (
+                        start, width)
+
+
+@pytest.mark.parametrize("start", [10**12, 2**64 - 3, 2**200 + 7])
+@pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 64, 65, 1000])
+def test_thue_morse_bytes_match_the_morphism_on_deep_windows(start, width):
+    stop = start + width
+    assert _thue_morse_bytes(start, stop) == morphism_window(start, stop)
+
+
+def test_an_empty_or_reversed_thue_morse_window_is_empty():
+    assert _thue_morse_bytes(7, 7) == _thue_morse_bytes(9, 3) == b""
 
 
 @pytest.mark.parametrize("n, expected", [(0, 1), (10, 1), (12, 1)])

@@ -11,6 +11,7 @@ from seqparity.catalogue import (
     SequenceDescriptor,
     parity_catalogue,
 )
+from seqparity import verify
 from seqparity.parity import master_m
 from seqparity.verify import (
     MAX_SHIFT,
@@ -210,6 +211,33 @@ def test_generator_failures_are_aggregated():
     assert report.checks[0].error == "RuntimeError: boom"
     assert report.checks[0].fitted is None
     assert not report.all_fitted()
+
+
+def test_sequences_walk_their_windows_in_lockstep_and_a_failure_stops_one(monkeypatch):
+    monkeypatch.setattr(verify, "W", 64)
+    calls = []
+
+    def recording(name, fail_at=None):
+        def terms(start, stop):
+            calls.append((name, start))
+            if start == fail_at:
+                raise RuntimeError("boom")
+            return CATALOGUE["A102393"].terms(start, stop)
+
+        return SequenceDescriptor(
+            id=name, offset=0, terms=terms, claimed=ParityRelation(0, False)
+        )
+
+    report = verify_sequences([recording("a"), recording("b", 128), recording("c")], 200, 200)
+    # each window goes to every sequence before the next; b stops at its error
+    assert calls == [
+        ("a", 192), ("b", 192), ("c", 192), ("a", 128), ("b", 128), ("c", 128),
+        ("a", 64), ("c", 64), ("a", 0), ("c", 0),
+    ]
+    assert [check.error for check in report.checks] == [None, "RuntimeError: boom", None]
+    for check in report.checks[::2]:
+        assert (check.claimed_mismatch_count, check.fitted) == (0, ParityRelation(0, False))
+        assert check.generate_s > 0 and check.fit_s > 0
 
 
 @pytest.mark.parametrize("n_max", [64, 8])

@@ -262,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
         _drop_unwritable_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # an allocation refused, e.g. for a --count too large; no message
+        print("error: out of memory", file=sys.stderr)
+        return 2
     finally:
         sys.stdout = stdout
         if int_digits:

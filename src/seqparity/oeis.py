@@ -22,8 +22,7 @@ from pathlib import Path
 from .catalogue import FrozenRecord, SequenceDescriptor
 
 _FIXTURE_PACKAGE = "seqparity"
-_CHUNK = 1 << 15  # characters of canonical text checked and split at a time
-_INDEX_RUN = 512  # index tokens compared with one formatted run at a time
+_CHUNK = 1 << 13  # characters of canonical text checked, split and compared at a time
 
 
 class BFileFormatError(ValueError):
@@ -126,15 +125,14 @@ def _parse_canonical(text: str) -> tuple[int, list[int]] | None:
             tokens = chunk.split()
             if start is None:
                 start = int(tokens[0])
-            # the indices as "%d" writes them, one run at a time; an index it
-            # would not write, such as 007 or -0, goes to the line loop
+            # the chunk's indices as "%d" writes them, in one formatted run that
+            # the chunk's size bounds; an index it would not write, such as 007
+            # or -0, goes to the line loop
             indices = tokens[0::2]
-            for lo in range(0, len(indices), _INDEX_RUN):
-                run = indices[lo : lo + _INDEX_RUN]
-                first = start + len(values) + lo
-                expected = b"%d " * len(run) % tuple(range(first, first + len(run)))
-                if b" ".join(run) + b" " != expected:
-                    return None
+            first = start + len(values)
+            expected = b"%d " * len(indices) % tuple(range(first, first + len(indices)))
+            if b" ".join(indices) + b" " != expected:
+                return None
             values.extend(map(int, tokens[1::2]))
     except ValueError:  # a non-ASCII character, or a token int() does not read
         return None
@@ -144,29 +142,24 @@ def _parse_canonical(text: str) -> tuple[int, list[int]] | None:
 def _parse_lines(text: str, sequence_id: str = "") -> BFileTable:
     """`parse_bfile` line by line: any text, and the error for a bad one."""
     indices, values = [], []
-    # int() also takes '+1', '1_0' and non-ASCII digits, and tokens may stand
-    # apart only by spaces and tabs; a text with none of those characters in it
-    # needs no check of its rows for them
-    odd_tokens = not text.isascii() or "_" in text or "+" in text
-    odd_spaces = any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e\x1f")
     for lineno, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue
         if len(tokens) != 2:
             raise _row_error(lineno, raw, "expected '<index> <value>', got")
-        line = raw.strip() if odd_tokens or odd_spaces else raw
+        line = raw.strip()
         try:
-            # with those ruled out int() takes exactly -?[0-9]+, and it
-            # raises on the rest
-            if odd_tokens and (not line.isascii() or "_" in line or "+" in line):
+            # int() also takes '+1', '1_0' and non-ASCII digits: with those
+            # ruled out it takes exactly -?[0-9]+, and it raises on the rest
+            if not line.isascii() or "_" in line or "+" in line:
                 raise ValueError
             index, value = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise _row_error(lineno, raw, "non-integer token in") from None
         # the tokens are ASCII decimals, so an unprintable character other
         # than a tab is whitespace between them that is not a space or a tab
-        if odd_spaces and not line.replace("\t", " ").isprintable():
+        if not line.replace("\t", " ").isprintable():
             raise _row_error(lineno, raw, "expected '<index> <value>', got")
         indices.append(index)
         values.append(value)

@@ -763,6 +763,19 @@ def test_verify_names_an_lcm_table_too_large_to_allocate():
     assert record["error"] == f"ValueError: {TABLE_REFUSED}"
 
 
+# the first allocation for 10**15 terms, 10**15 bytes or the sieve's 8 * 10**15,
+# is larger than the address space, so the allocator refuses it at once; a
+# generator whose memory grows term by term could fill the RAM instead
+@pytest.mark.parametrize("argv", [["gen", "m"], ["parity", "A092524"],
+                                  ["gen", "m", "--format", "json"]])
+def test_an_allocation_refused_is_a_one_line_error(argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "seqparity", *argv, "--count", str(10**15)],
+        capture_output=True, text=True, env=_source_env(),
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: out of memory\n")
+
+
 class _UnwritableStdout:
     """A stdout whose every write and flush fails with one error."""
 

@@ -123,6 +123,41 @@ def test_parse_rejects_tokens_that_are_not_ascii_decimal(row):
         parse_bfile(f"0 0\n{row}\n")
 
 
+# every row is stripped and tested for non-ASCII, '_', '+' and unprintable
+# characters, whatever else the text holds: a separator other than spaces and
+# tabs, a line end other than "\n" and a token int() reads but -?[0-9]+ does not
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("0 1\n1\u00a02\n", "line 2: non-integer token in '1\\xa02'"),
+        ("0 1\n1\u30002\n", "line 2: non-integer token in '1\\u30002'"),
+        ("0 1\n1\x0b2\n", "line 2: expected '<index> <value>', got '1\\x0b2'"),
+        ("0 1\n1\x0c2\n", "line 2: expected '<index> <value>', got '1\\x0c2'"),
+        ("0 1\n1\x1c2\n", "line 2: expected '<index> <value>', got '1\\x1c2'"),
+        ("0 1\n1\r2\n", "line 2: expected '<index> <value>', got '1\\r2'"),
+        ("0 1\n1\x852\n", "line 2: non-integer token in '1\\x852'"),
+        ("0 1\n1 2\x1f\n", (0, (1, 2))),
+        ("0 1\r\n1 2\r\n", (0, (1, 2))),
+        ("0 1\n1 +2\n", "line 2: non-integer token in '1 +2'"),
+        ("0 1\n1 1_0\n", "line 2: non-integer token in '1 1_0'"),
+        ("0 1\n1 \u0662\n", "line 2: non-integer token in '1 \u0662'"),
+        ("# a(n) \u2264 n\n0 1\n1 2\n", (0, (1, 2))),
+        ("0\t1\n1\t2\n", (0, (1, 2))),
+        ("0 1\n\x0b1 2\n", (0, (1, 2))),
+        ("0  1\n1  2\n", (0, (1, 2))),
+    ],
+    ids=["nbsp", "ideographic-space", "vt", "ff", "fs", "cr", "nel", "trailing-us", "crlf",
+         "plus", "underscore", "arabic-indic", "non-ascii-comment", "tabs", "leading-vt",
+         "double-space"],
+)
+def test_the_line_loop_checks_every_row_for_odd_characters(text, expected):
+    result = outcome(parse_bfile, text)
+    if isinstance(expected, str):
+        assert result == expected
+    else:
+        assert (result.start, result.values) == expected
+
+
 def test_parse_keeps_comments_free_form_and_reads_negative_indices():
     table = parse_bfile("# a_1 = +1, \u0661\n-1 10\n0 0\n")
     assert table == BFileTable("", -1, (10, 0))
@@ -180,8 +215,8 @@ def test_a_value_beyond_the_int_digit_limit_is_a_format_error_outside_the_cli():
         sys.set_int_max_str_digits(saved)
 
 
-def a104258_table(rows):
-    seq = CATALOGUE["A104258"]
+def catalogue_table(seq_id, rows):
+    seq = CATALOGUE[seq_id]
     return BFileTable(seq.id, seq.offset, tuple(seq.terms(seq.offset, seq.offset + rows)))
 
 
@@ -192,11 +227,24 @@ def test_parsing_4096_rows_peaks_below_a_measured_bound():
     # which splits the whole text into lines first, peaked at 728,542 bytes,
     # and a whole-text regex match that keeps backtracking state for each
     # row would add about 1.7 MB at this row count.
-    table = a104258_table(4096)
+    table = catalogue_table("A104258", 4096)
     text = serialize_bfile(table)
     parsed, peak = traced_peak(parse_bfile, text, table.sequence_id)
     assert parsed == table
     assert peak < 400_000
+
+
+def test_parsing_4096_short_rows_peaks_below_a_measured_bound():
+    # tracemalloc measured a 263,655-byte peak (Python 3.11; 263,647 to
+    # 263,655 on 3.10 to 3.13) for these 35,457 bytes of canonical text, whose
+    # 4096 rows are about 9 bytes long: each 8 KB chunk's tokens and its one
+    # formatted run of expected indices.  With 32 KB chunks compared in runs
+    # of 512 index tokens it peaked at 550,226 bytes.
+    table = catalogue_table("A247303", 4096)
+    text = serialize_bfile(table)
+    parsed, peak = traced_peak(parse_bfile, text, table.sequence_id)
+    assert parsed == table
+    assert peak < 290_000
 
 
 def test_serializing_4096_rows_peaks_below_a_measured_bound():
@@ -204,7 +252,7 @@ def test_serializing_4096_rows_peaks_below_a_measured_bound():
     # 397,557 on 3.10 to 3.13) for one %-format over the flat row tuple: the
     # tuple, the index ints, the format string and the 158,162-byte text.
     # Joining one f-string per row peaked at 517,517 to 550,565 bytes.
-    table = a104258_table(4096)
+    table = catalogue_table("A104258", 4096)
     text, peak = traced_peak(serialize_bfile, table)
     assert len(text) == 158_162
     assert peak < 450_000

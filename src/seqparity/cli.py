@@ -2,12 +2,14 @@
 and cross-check against OEIS b-files.
 
 Exit codes, all set in `main`: 0 success; 1 a failed verify or cross-check,
-an offset mismatch included; 2 a usage or input error or unwritable output.
+an offset mismatch included; 2 a usage or input error or unwritable output,
+a closed stdout and `--timings` that stderr refuses included.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import os
 import sys
@@ -65,8 +67,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(report.to_text())
-    if args.timings:
-        sys.stderr.write(report.to_timings())
+    if args.timings and not _write_stderr(report.to_timings()):
+        return 2
     return 0 if report.all_fitted() else 1
 
 
@@ -204,6 +206,24 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return build_parser(argv).parse_args(argv)
 
 
+class _ClosedStderr(io.TextIOBase):
+    """Stands in for a stderr whose descriptor was closed when the interpreter
+    started, which leaves sys.stderr None: its writes fail as an unwritable
+    stderr's do, where argparse would write its usage to stdout instead."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, "stderr is closed")
+
+
+def _write_stderr(text: str) -> bool:
+    """Write text to stderr; False where stderr refuses it."""
+    try:
+        sys.stderr.write(text)
+    except OSError:
+        return False
+    return True
+
+
 def _drop_unwritable_stdout() -> None:
     """Point stdout at the null device if it still cannot be flushed, so the
     flush at interpreter exit does not fail again; a sink without a descriptor
@@ -240,9 +260,23 @@ def _completing_stdout():
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parse_args(argv)
+    stderr = sys.stderr
+    sys.stderr = stderr or _ClosedStderr()
+    try:
+        return _run(sys.argv[1:] if argv is None else argv)
+    finally:
+        sys.stderr = stderr
+
+
+def _run(argv: list[str]) -> int:
+    try:
+        args = parse_args(argv)
+    except OSError as exc:  # Python 3.10's argparse lets a refused write of its output escape
+        _write_stderr(f"error: {exc}\n")
+        return 2
+    if sys.stdout is None:  # its descriptor was closed when the interpreter started
+        _write_stderr("error: stdout is closed\n")
+        return 2
     stdout = sys.stdout
     sys.stdout = _completing_stdout() or stdout
     # exact terms outgrow the interpreter's int/str conversion limit (4300
@@ -256,14 +290,14 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except oeis.OffsetMismatchError as exc:  # a ValueError, but a failed check
-        print(f"offset mismatch: {exc}", file=sys.stderr)
+        _write_stderr(f"offset mismatch: {exc}\n")
         return 1
     except (KeyError, ValueError, OSError, oeis.BFileUnavailableError) as exc:
         _drop_unwritable_stdout()
-        print(f"error: {exc}", file=sys.stderr)
+        _write_stderr(f"error: {exc}\n")
         return 2
     except MemoryError:  # an allocation refused, e.g. for a --count too large; no message
-        print("error: out of memory", file=sys.stderr)
+        _write_stderr("error: out of memory\n")
         return 2
     finally:
         sys.stdout = stdout

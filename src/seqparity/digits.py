@@ -71,14 +71,12 @@ def smallest_prime_factor(n: int) -> int:
 def reinterpret_binary(n: int, base: int) -> int:
     """Read the binary digits of n as digits of a base-`base` numeral.
 
-    Bases 2 to 36 are what int() parses, at C speed.  Any other base takes
-    Horner's rule over the octal digits of n: each is three binary digits, so
-    it steps by base**3 and adds the three digits read in base `base`.
+    Horner's rule over the octal digits of n, exact for every base: each octal
+    digit is three binary digits, so it steps by base**3 and adds the three
+    digits read in base `base`.
     """
     if n < 0:
         raise ValueError(f"binary digits require n >= 0, got {n}")
-    if 2 <= base <= 36:
-        return int(format(n, "b"), base)
     square = base * base
     table = (0, 1, base, base + 1, square, square + 1, square + base, square + base + 1)
     step = square * base

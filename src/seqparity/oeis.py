@@ -268,9 +268,10 @@ def fetch_bfile(
     retries once on any failure, and caches only text that parses, with a
     write-to-temporary-then-rename so concurrent readers never see a partial
     file.  A cache that cannot be written does not lose the download: the
-    parsed table is returned uncached.
+    parsed table is returned uncached.  An empty cache_dir means the default,
+    as an empty $SEQPARITY_CACHE_DIR does.
     """
-    cache_path = Path(cache_dir if cache_dir is not None else default_cache_dir())
+    cache_path = Path(cache_dir or default_cache_dir())
     cached = cache_path / bfile_name(sequence_id)
     try:
         return read_bfile(cached, sequence_id)

@@ -27,7 +27,7 @@ from .catalogue import (
 from .parity import master_prefix
 
 MAX_SHIFT = 4
-#: The width of the windows _parity_word generates terms in; their
+#: The width of the windows _window_parities generates terms in; their
 #: boundaries fall on multiples of W.
 W = 1 << 14
 MISMATCH_SAMPLE_CAP = 10
@@ -59,31 +59,28 @@ def _windows(offset: int, n_max: int) -> Iterator[tuple[int, int]]:
         hi = lo
 
 
-def _window_parities(seq: SequenceDescriptor, lo: int, hi: int) -> int:
-    """The parities of seq's values at [lo, hi), packed by _pack and shifted
-    to their place in the parity word; the terms are dropped on return."""
-    return _pack([v & 1 for v in seq.terms(lo, hi)]) << (lo - seq.offset)
-
-
-def _parity_word(seq: SequenceDescriptor, n_max: int) -> int:
-    """The parities of seq's values at [offset, n_max], packed by _pack, one
-    window at a time."""
+def _window_parities(seq: SequenceDescriptor, n_max: int) -> Iterator[int]:
+    """The parities of seq's values at [offset, n_max], one window of
+    _windows at a time: each is packed by _pack and shifted to its place in
+    the parity word, and its terms are dropped before the next is generated.
+    The windows' bits are disjoint, so their sum is the whole word."""
     if n_max < seq.offset:
         raise ValueError(f"n_max {n_max} is below the offset of {seq.id}")
-    # the windows' bits are disjoint, so their sum is their OR
-    return sum(_window_parities(seq, lo, hi) for lo, hi in _windows(seq.offset, n_max))
+    for lo, hi in _windows(seq.offset, n_max):
+        yield _pack([v & 1 for v in seq.terms(lo, hi)]) << (lo - seq.offset)
 
 
 class _PackedParities:
     """A sequence's parity word on [offset, n_max] and the master bits on
-    [0, n_max + reach], each packed into one int, so that a relation with
-    |shift| <= reach is checked with a few big-int operations."""
+    [0, n_max + max(MAX_SHIFT, |shift|)], each packed into one int, so that
+    the fit's relations and one of the given shift are each checked with a
+    few big-int operations."""
 
-    def __init__(self, offset: int, n_max: int, parities: int, reach: int) -> None:
+    def __init__(self, offset: int, n_max: int, parities: int, shift: int) -> None:
         self.offset = offset
         self.n_max = n_max
         self.parities = parities
-        self.master = _pack(master_prefix(n_max + reach + 1))
+        self.master = _pack(master_prefix(n_max + max(MAX_SHIFT, abs(shift)) + 1))
 
     def mismatches(self, rel: ParityRelation) -> int:
         """Bit n is set iff the relation fails at n, for n in [max(offset, -shift), n_max]."""
@@ -111,7 +108,7 @@ def check_relation(
     seq: SequenceDescriptor, rel: ParityRelation, n_max: int
 ) -> list[int]:
     """All n in [max(offset, -shift), n_max] where the relation fails."""
-    packed = _PackedParities(seq.offset, n_max, _parity_word(seq, n_max), abs(rel.shift))
+    packed = _PackedParities(seq.offset, n_max, sum(_window_parities(seq, n_max)), rel.shift)
     return _set_bits(packed.mismatches(rel))
 
 
@@ -127,7 +124,7 @@ def fit_relation(seq: SequenceDescriptor, n_max: int) -> ParityRelation | None:
             f"n_max {n_max} too small to fit relations for {seq.id} "
             f"(need at least offset + {2 * MAX_SHIFT})"
         )
-    return _PackedParities(seq.offset, n_max, _parity_word(seq, n_max), MAX_SHIFT).fit()
+    return _PackedParities(seq.offset, n_max, sum(_window_parities(seq, n_max)), 0).fit()
 
 
 class SequenceCheck(Record):
@@ -253,14 +250,13 @@ def _check_steps(seq: SequenceDescriptor, check: SequenceCheck) -> Iterator[None
     in check and ends the steps."""
     try:
         word = 0
-        for lo, hi in _windows(seq.offset, check.n_max):
-            started = perf_counter()
-            word |= _window_parities(seq, lo, hi)
+        started = perf_counter()
+        for bits in _window_parities(seq, check.n_max):
+            word |= bits
             check.generate_s += perf_counter() - started
             yield
-        started = perf_counter()
-        reach = max(MAX_SHIFT, abs(seq.claimed.shift))
-        packed = _PackedParities(seq.offset, check.n_max, word, reach)
+            started = perf_counter()  # the next window's clock; after the last, the fit's
+        packed = _PackedParities(seq.offset, check.n_max, word, seq.claimed.shift)
         bad = packed.mismatches(seq.claimed)
         check.claimed_mismatch_count = bad.bit_count()
         check.claimed_mismatch_sample = _set_bits(bad, MISMATCH_SAMPLE_CAP)

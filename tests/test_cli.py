@@ -411,6 +411,24 @@ def test_cache_dir_env_var(capsys, tmp_path, monkeypatch):
     assert out == "1 99\n"
 
 
+def test_an_empty_cache_dir_is_the_default_not_the_working_directory(
+    capsys, tmp_path, monkeypatch
+):
+    # a b-file in the working directory that disagrees with every generator
+    (tmp_path / "work").mkdir()
+    (tmp_path / "work" / "b010060.txt").write_text("0 7\n1 7\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path / "work")
+    monkeypatch.setenv("SEQPARITY_CACHE_DIR", "")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))  # an empty default cache
+    code, out, err = run_cli(capsys, "fetch-bfile", "A010060", "--cache-dir", "")
+    assert (code, err) == (0, "")
+    assert out == oeis.serialize_bfile(oeis.fixture_table("A010060"))
+    code, out, err = run_cli(
+        capsys, "check-bfile", "A010060", "--file", "fetch", "--cache-dir", ""
+    )
+    assert (code, out, err) == (0, "A010060: checked 8 terms, 0 mismatches\n", "")
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     outputs = set()
     for _ in range(2):
@@ -862,6 +880,52 @@ def test_unwritable_stdout_of_the_process_is_one_line_exit_two(target, argv, unb
     assert stderr.count("\n") == 1
     assert stderr.startswith("error: [Errno ")
     assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
+def _run_redirected(argv: list[str], redirect: str) -> subprocess.CompletedProcess:
+    """The CLI run by sh with its stdio redirected first: a descriptor that sh
+    closes ('>&-', '2>&-') leaves the interpreter's stream None, and one open
+    for reading only ('2</dev/null') refuses every write with EBADF."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable, "-m", "seqparity", *argv],
+        capture_output=True, text=True, env=_source_env(), timeout=120,
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "A010060", "--count", "3"],
+    ["parity", "A010060", "--count", "3"],
+    ["verify", "A092524", "--n-max", "64"],
+    ["check-bfile", "A010060"],
+    ["fetch-bfile", "A010060", "--cache-dir", "{tmp}"],
+    # the --count error would come from the work, which is never started
+    ["gen", "A010060", "--count", "0"],
+], ids=" ".join)
+def test_a_closed_stdout_is_one_line_exit_two_before_any_work(tmp_path, argv):
+    result = _run_redirected(_with_tmp(tmp_path, argv), ">&-")
+    assert (result.returncode, result.stderr) == (2, "error: stdout is closed\n")
+
+
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+@pytest.mark.parametrize("argv, code", [
+    (["gen", "A010060", "--count", "3"], 0),
+    (["gen", "A010060", "--count", "0"], 2),
+    (["gen", "A010060", "--count", "x"], 2),
+    (["check-bfile", "A010060", "--file", "{tmp}/missing.txt"], 2),
+    (["check-bfile", "A010060", "--file", "{tmp}/shifted.txt"], 1),
+    (["verify", "A092524", "--n-max", "64"], 0),
+    # the one output stderr owes: timings it cannot write are unwritable output
+    (["verify", "A092524", "--n-max", "64", "--timings"], 2),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+def test_an_unwritable_stderr_changes_no_exit_but_that_of_its_timings(
+    tmp_path, argv, code, redirect
+):
+    (tmp_path / "shifted.txt").write_text("5 0\n6 0\n", encoding="utf-8")
+    argv = _with_tmp(tmp_path, argv)
+    written = _run_redirected(argv, "")
+    assert written.returncode == (0 if "--timings" in argv else code)
+    result = _run_redirected(argv, redirect)
+    assert (result.returncode, result.stdout) == (code, written.stdout)
 
 
 def test_an_unreadable_input_leaves_stdout_alone(capsys, tmp_path):

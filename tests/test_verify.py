@@ -18,7 +18,7 @@ from seqparity.verify import (
     MISMATCH_SAMPLE_CAP,
     W,
     _pack,
-    _parity_word,
+    _window_parities,
     check_relation,
     fit_relation,
     verify_all,
@@ -316,7 +316,7 @@ def test_parity_word_equals_the_packed_list_of_the_whole_range(seq_id, n_max):
         windows.append((start, stop))
         return seq.terms(start, stop)
 
-    word = _parity_word(dataclasses.replace(seq, terms=terms), n_max)
+    word = sum(_window_parities(dataclasses.replace(seq, terms=terms), n_max))
     assert word == _pack([v & 1 for v in seq.terms(seq.offset, n_max + 1)])
     # the windows tile [offset, n_max], from the top down, each inside one [jW, (j+1)W)
     tiles = sorted(windows)
@@ -324,3 +324,59 @@ def test_parity_word_equals_the_packed_list_of_the_whole_range(seq_id, n_max):
     assert tiles[0][0] == seq.offset and tiles[-1][1] == n_max + 1
     assert all(left[1] == right[0] for left, right in zip(tiles, tiles[1:]))
     assert all(start < stop and start // W == (stop - 1) // W for start, stop in tiles)
+
+
+@pytest.mark.parametrize("seq_id", ["A102393", "A003071"])
+@pytest.mark.parametrize("n_max", [63, 64, 65, 200])
+def test_every_route_requests_the_same_windows_from_the_top_down(monkeypatch, seq_id, n_max):
+    monkeypatch.setattr(verify, "W", 64)
+    seq = CATALOGUE[seq_id]
+    windows = []
+
+    def terms(start, stop):
+        windows.append((start, stop))
+        return seq.terms(start, stop)
+
+    recording = dataclasses.replace(seq, terms=terms)
+    routes = [
+        lambda: check_relation(recording, seq.claimed, n_max),
+        lambda: fit_relation(recording, n_max),
+        lambda: verify_sequences([recording], n_max, n_max),
+    ]
+    # the multiples of 64 inside the range cut [offset, n_max] into the tiles
+    bounds = sorted({seq.offset, *range(64, n_max + 1, 64), n_max + 1})
+    expected = list(zip(bounds, bounds[1:]))[::-1]
+    for route in routes:
+        windows.clear()
+        route()
+        assert windows == expected
+
+
+@pytest.mark.parametrize("seq_id", ["A102393", "A003071"])
+@pytest.mark.parametrize("shift", [-9, -6, -5, 5, 6, 9])
+@pytest.mark.parametrize("complement", [False, True])
+def test_check_relation_beyond_max_shift_matches_a_naive_scan(seq_id, shift, complement):
+    rel = ParityRelation(shift, complement)
+    assert abs(rel.shift) > MAX_SHIFT
+    seq = CATALOGUE[seq_id]
+    parities = [v & 1 for v in seq.terms(seq.offset, 301)]
+    assert check_relation(seq, rel, 300) == naive_mismatches(parities, seq.offset, rel, 300)
+
+
+@pytest.mark.parametrize("shift", [-MAX_SHIFT, MAX_SHIFT])
+@pytest.mark.parametrize("n_max", [64, 65, 66, 67])
+def test_a_relation_at_the_fit_edge_is_fitted_by_every_route(shift, n_max):
+    # m at n + shift up to n_max + MAX_SHIFT, whose top bit is m(68) = 1 at n_max 64
+    rel = ParityRelation(shift, False)
+    seq = SequenceDescriptor(
+        id="edge", offset=MAX_SHIFT,
+        terms=lambda start, stop: [master_m(n + shift) for n in range(start, stop)],
+        claimed=ParityRelation(0, False),
+    )
+    parities = seq.terms(MAX_SHIFT, n_max + 1)
+    assert fit_relation(seq, n_max) == rel
+    assert check_relation(seq, rel, n_max) == []
+    check = verify_sequences([seq], n_max, n_max).checks[0]
+    assert check.fitted == rel
+    assert check.claimed_mismatch_count == len(
+        naive_mismatches(parities, MAX_SHIFT, seq.claimed, n_max))

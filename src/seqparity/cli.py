@@ -3,7 +3,9 @@ and cross-check against OEIS b-files.
 
 Exit codes, all set in `main`: 0 success; 1 a failed verify or cross-check,
 an offset mismatch included; 2 a usage or input error or unwritable output,
-a closed stdout and `--timings` that stderr refuses included.
+a closed stdout and `--timings` that stderr refuses included. Help and
+version text is output like any other, so a refused write of it is exit 2 too;
+a closed stdout is refused before the arguments are read.
 """
 
 from __future__ import annotations
@@ -260,32 +262,24 @@ def _completing_stdout():
 
 
 def main(argv: list[str] | None = None) -> int:
-    stderr = sys.stderr
+    stdout, stderr = sys.stdout, sys.stderr
     sys.stderr = stderr or _ClosedStderr()
-    try:
-        return _run(sys.argv[1:] if argv is None else argv)
-    finally:
-        sys.stderr = stderr
-
-
-def _run(argv: list[str]) -> int:
-    try:
-        args = parse_args(argv)
-    except OSError as exc:  # Python 3.10's argparse lets a refused write of its output escape
-        _write_stderr(f"error: {exc}\n")
-        return 2
-    if sys.stdout is None:  # its descriptor was closed when the interpreter started
-        _write_stderr("error: stdout is closed\n")
-        return 2
-    stdout = sys.stdout
-    sys.stdout = _completing_stdout() or stdout
     # exact terms outgrow the interpreter's int/str conversion limit (4300
     # digits since 3.11): lift it while the command runs, for writing values
     # and for reading b-file rows, and give the caller's limit back after
     int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if int_digits:
-        sys.set_int_max_str_digits(0)
     try:
+        if stdout is None:  # its descriptor was closed when the interpreter started
+            _write_stderr("error: stdout is closed\n")
+            return 2
+        sys.stdout = _completing_stdout() or stdout
+        try:
+            args = parse_args(sys.argv[1:] if argv is None else argv)
+        except SystemExit:  # help, version, a usage error: a refused flush is caught below
+            sys.stdout.flush()
+            raise
+        if int_digits:
+            sys.set_int_max_str_digits(0)
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -300,7 +294,7 @@ def _run(argv: list[str]) -> int:
         _write_stderr("error: out of memory\n")
         return 2
     finally:
-        sys.stdout = stdout
+        sys.stdout, sys.stderr = stdout, stderr
         if int_digits:
             sys.set_int_max_str_digits(int_digits)
 

@@ -26,7 +26,7 @@ from oracles import (
     build_parser_eager,
     master_m_recursive,
 )
-from seqparity import oeis
+from seqparity import __version__, oeis
 from seqparity.catalogue import CATALOGUE, parity_catalogue
 from seqparity.cli import build_parser, main, parse_args
 from seqparity.lcm_sums import a061297
@@ -849,6 +849,11 @@ NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="nee
     pytest.param("/dev/full", ["verify", "all", "--format", "json", "--n-max", "64",
                                "--n-max-heavy", "64"], marks=NEEDS_DEV_FULL,
                  id="full-verify-json"),
+    # argparse drops a refused write of its help and version text, and
+    # Python 3.10's lets it escape: either way it is output like any other
+    pytest.param("/dev/full", ["--version"], marks=NEEDS_DEV_FULL, id="full-version"),
+    pytest.param("/dev/full", ["--help"], marks=NEEDS_DEV_FULL, id="full-help"),
+    pytest.param("/dev/full", ["gen", "--help"], marks=NEEDS_DEV_FULL, id="full-gen-help"),
 ])
 def test_unwritable_stdout_of_the_process_is_one_line_exit_two(target, argv, unbuffered):
     env = _source_env()
@@ -882,6 +887,19 @@ def test_unwritable_stdout_of_the_process_is_one_line_exit_two(target, argv, unb
     assert "Traceback" not in stderr and "Exception ignored" not in stderr
 
 
+@NEEDS_DEV_FULL
+def test_a_full_disk_leaves_nothing_for_the_exit_flush_under_dev_mode():
+    # dev mode reports every exception ignored at exit, the final flush of a
+    # stdout main left unwritable among them
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "seqparity", "gen", "A010060", "--count", "5"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_source_env(), timeout=120,
+        )
+    assert result.returncode == 2
+    assert result.stderr == "error: [Errno 28] No space left on device\n"
+
+
 def _run_redirected(argv: list[str], redirect: str) -> subprocess.CompletedProcess:
     """The CLI run by sh with its stdio redirected first: a descriptor that sh
     closes ('>&-', '2>&-') leaves the interpreter's stream None, and one open
@@ -900,6 +918,9 @@ def _run_redirected(argv: list[str], redirect: str) -> subprocess.CompletedProce
     ["fetch-bfile", "A010060", "--cache-dir", "{tmp}"],
     # the --count error would come from the work, which is never started
     ["gen", "A010060", "--count", "0"],
+    # nor are the arguments read: no help, and no usage error
+    ["--help"],
+    ["gen", "A010060", "--count", "x"],
 ], ids=" ".join)
 def test_a_closed_stdout_is_one_line_exit_two_before_any_work(tmp_path, argv):
     result = _run_redirected(_with_tmp(tmp_path, argv), ">&-")
@@ -947,6 +968,28 @@ def test_an_unbuffered_stdout_is_given_back(tmp_path):
             assert sys.stdout is out
         out.write("end\n")
     assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "0\n1\n1\n0\nend\n"
+
+
+@pytest.mark.skipif(not HAS_INT_DIGIT_LIMIT, reason="no int/str conversion limit")
+def test_argparse_exit_gives_the_callers_stdio_and_digit_limit_back(tmp_path):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    err = io.StringIO()
+    try:
+        with open(tmp_path / "out.txt", "wb", buffering=0) as raw:
+            # unbuffered, so main stands its own writer in for stdout
+            out = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                for argv, code in [(["--version"], 0), (["gen"], 2)]:
+                    with pytest.raises(SystemExit) as excinfo:
+                        main(argv)
+                    assert excinfo.value.code == code
+                    assert sys.stdout is out and sys.stderr is err
+                    assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == f"seqparity {__version__}\n"
+    assert err.getvalue().endswith("error: the following arguments are required: id\n")
 
 
 SMALL_INT = st.integers(-64, 64).map(str)

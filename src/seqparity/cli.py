@@ -2,10 +2,11 @@
 and cross-check against OEIS b-files.
 
 Exit codes, all set in `main`: 0 success; 1 a failed verify or cross-check,
-an offset mismatch included; 2 a usage or input error or unwritable output,
-a closed stdout and `--timings` that stderr refuses included. Help and
-version text is output like any other, so a refused write of it is exit 2 too;
-a closed stdout is refused before the arguments are read.
+an offset mismatch included; 2 a usage or input error, a count too large to
+allocate or index, or unwritable output, a closed stdout and `--timings` that
+stderr refuses included. Help and version text is output like any other, so
+a refused write of it is exit 2 too; a closed stdout is refused before the
+arguments are read.
 """
 
 from __future__ import annotations
@@ -157,15 +158,8 @@ _SUBCOMMANDS = (
 )
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser, holding the arguments of the subcommand argv names only.
-
-    Every subcommand is added with its name and help, which is all the
-    top-level help shows; only the one argv names gets its own arguments.
-    That is the first word of argv that is a subcommand name: no top-level
-    option takes a value, so no earlier word can be anything but an option.
-    With no argv, no subcommand gets its arguments.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's full parser: the top-level parser and every subcommand's."""
     parser = argparse.ArgumentParser(
         prog="seqparity",
         description="Generate integer sequences and verify their parity relations "
@@ -173,19 +167,16 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    names = {name for name, *_ in _SUBCOMMANDS}
-    command = next((word for word in argv or () if word in names), None)
     for name, help_text, add_arguments, func in _SUBCOMMANDS:
         subparser = sub.add_parser(name, help=help_text)
         subparser.set_defaults(func=func)
-        if name == command:
-            add_arguments(subparser)
+        add_arguments(subparser)
     return parser
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """The namespace `build_parser(argv).parse_args(argv)` gives, from the
-    one parser of the subcommand argv opens with where that is enough.
+    """The namespace `build_parser().parse_args(argv)` gives, from the one
+    parser of the subcommand argv opens with where that is enough.
 
     That parser is the subparser the full parser would hand the rest of
     argv to, so it prints the same help and errors. The full parser still
@@ -205,7 +196,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
             args, extras = parser.parse_known_args(argv[1:])
             if not extras:
                 return args
-    return build_parser(argv).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 class _ClosedStderr(io.TextIOBase):
@@ -265,21 +256,22 @@ def main(argv: list[str] | None = None) -> int:
     stdout, stderr = sys.stdout, sys.stderr
     sys.stderr = stderr or _ClosedStderr()
     # exact terms outgrow the interpreter's int/str conversion limit (4300
-    # digits since 3.11): lift it while the command runs, for writing values
-    # and for reading b-file rows, and give the caller's limit back after
+    # digits since 3.11): lift it while the command runs, for reading numbers
+    # on the command line and in b-file rows and for writing values, and give
+    # the caller's limit back after
     int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     try:
         if stdout is None:  # its descriptor was closed when the interpreter started
             _write_stderr("error: stdout is closed\n")
             return 2
         sys.stdout = _completing_stdout() or stdout
+        if int_digits:
+            sys.set_int_max_str_digits(0)
         try:
             args = parse_args(sys.argv[1:] if argv is None else argv)
         except SystemExit:  # help, version, a usage error: a refused flush is caught below
             sys.stdout.flush()
             raise
-        if int_digits:
-            sys.set_int_max_str_digits(0)
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -290,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         _drop_unwritable_stdout()
         _write_stderr(f"error: {exc}\n")
         return 2
-    except MemoryError:  # an allocation refused, e.g. for a --count too large; no message
+    except (MemoryError, OverflowError):  # a --count too large to allocate or index
         _write_stderr("error: out of memory\n")
         return 2
     finally:

@@ -492,8 +492,8 @@ def quotient_term_is_odd(n: int, r: int) -> bool:
 
 
 def build_parser_eager() -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand's arguments added up front, as the
-    reference for the parser that adds them on a subcommand's first parse."""
+    """The CLI parser written out in full, apart from cli's subcommand table,
+    as the reference for both of cli's parsing routes."""
     def add_generation_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("id",
                             help="sequence id (e.g. A061297, or 'm' for the master sequence)")

@@ -30,6 +30,7 @@ from seqparity import __version__, oeis
 from seqparity.catalogue import CATALOGUE, parity_catalogue
 from seqparity.cli import build_parser, main, parse_args
 from seqparity.lcm_sums import a061297
+from seqparity.parity import thue_morse
 
 
 def run_cli(capsys, *argv):
@@ -232,6 +233,31 @@ def test_gen_prints_terms_beyond_the_int_digit_limit(capsys, fmt):
             }
 
 
+with no_int_digit_limit():
+    # an index of 4301 decimal digits, above the default limit of 4300
+    DEEP_FROM = 10**4300 + 7
+    DEEP_FROM_TEXT = str(DEEP_FROM)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "bfile", "json"])
+def test_gen_reads_a_from_beyond_the_int_digit_limit(capsys, fmt):
+    code, out, err = run_cli(
+        capsys, "gen", "A010060", "--from", DEEP_FROM_TEXT, "--count", "3", "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    expected = [thue_morse(DEEP_FROM + k) for k in range(3)]
+    assert expected == [1, 1, 0]
+    with no_int_digit_limit():
+        if fmt == "plain":
+            assert out == "".join(f"{v}\n" for v in expected)
+        elif fmt == "bfile":
+            assert out == "".join(f"{DEEP_FROM + k} {v}\n" for k, v in enumerate(expected))
+        else:
+            assert json.loads(out) == {
+                "id": "A010060", "from": DEEP_FROM, "count": 3, "terms": expected,
+            }
+
+
 def test_check_bfile_reads_values_beyond_the_int_digit_limit(capsys, tmp_path):
     table = tmp_path / "b061297.txt"
     table.write_text("0 " + "1" * 5000 + "\n", encoding="utf-8")
@@ -246,6 +272,7 @@ def test_check_bfile_reads_values_beyond_the_int_digit_limit(capsys, tmp_path):
     ["gen", "A061297", "--from", "19700", "--count", "1"],
     ["gen", "A999999"],
     ["check-bfile", "A010060", "--file", "no-such-b-file.txt"],
+    ["gen", "A010060", "--from", DEEP_FROM_TEXT, "--count", "3"],
 ])
 def test_main_restores_the_callers_int_digit_limit(argv):
     saved = sys.get_int_max_str_digits()
@@ -563,34 +590,18 @@ def _parse(capsys, parse, argv: list[str]):
 def test_the_parser_matches_the_eager_reference(capsys, argv):
     # help, version, usage errors and exit codes byte for byte, and the namespace
     expected = _parse(capsys, build_parser_eager().parse_args, argv)
-    assert _parse(capsys, build_parser(argv).parse_args, argv) == expected
+    assert _parse(capsys, build_parser().parse_args, argv) == expected
     # and the same through the one-parser route main takes
     assert _parse(capsys, parse_args, argv) == expected
 
 
 def test_no_top_level_option_takes_a_value():
-    # so the first subcommand name in a command line is the command build_parser builds
+    # parse_args's rules for when a subcommand's own parser is enough were
+    # worked out for a top-level parser of flags only, --help and --version
     parser = build_parser()
     options = [action for action in parser._actions
                if not isinstance(action, argparse._SubParsersAction)]
     assert options and all(action.nargs == 0 for action in options)
-
-
-@pytest.mark.parametrize("argv", [
-    ["gen", "A010060"],
-    ["parity", "A010060"],
-    ["verify", "all"],
-    ["check-bfile", "A128975"],
-    ["fetch-bfile", "A128975"],
-], ids=" ".join)
-def test_a_command_builds_only_its_own_subcommands_arguments(argv):
-    parser = build_parser(argv)
-    (subparsers,) = (action for action in parser._actions
-                     if isinstance(action, argparse._SubParsersAction))
-    parser.parse_args(argv)
-    # a subparser argv does not name holds only its -h
-    built = {name for name, sub in subparsers.choices.items() if len(sub._actions) > 1}
-    assert built == {argv[0]}
 
 
 @pytest.fixture
@@ -620,7 +631,7 @@ def test_a_named_command_builds_one_parser(capsys, tmp_path, built_parsers, argv
     assert built_parsers == [f"seqparity {argv[0]}"]
     # the full parser builds the top-level parser and five subparsers
     built_parsers.clear()
-    build_parser(argv).parse_args(argv)
+    build_parser().parse_args(argv)
     assert len(built_parsers) == 6
 
 
@@ -782,13 +793,17 @@ def test_verify_names_an_lcm_table_too_large_to_allocate():
 
 
 # the first allocation for 10**15 terms, 10**15 bytes or the sieve's 8 * 10**15,
-# is larger than the address space, so the allocator refuses it at once; a
-# generator whose memory grows term by term could fill the RAM instead
-@pytest.mark.parametrize("argv", [["gen", "m"], ["parity", "A092524"],
-                                  ["gen", "m", "--format", "json"]])
+# is larger than the address space, so the allocator refuses it at once, and
+# 10**20 is past any size a list or buffer can index; a generator whose memory
+# grows term by term could fill the RAM instead
+@pytest.mark.parametrize("argv", [
+    [*command, "--count", str(count)]
+    for count in (10**15, 10**20)
+    for command in (["gen", "m"], ["parity", "A092524"], ["gen", "m", "--format", "json"])
+])
 def test_an_allocation_refused_is_a_one_line_error(argv):
     result = subprocess.run(
-        [sys.executable, "-m", "seqparity", *argv, "--count", str(10**15)],
+        [sys.executable, "-m", "seqparity", *argv],
         capture_output=True, text=True, env=_source_env(),
     )
     assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: out of memory\n")

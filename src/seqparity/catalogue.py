@@ -90,6 +90,8 @@ class SequenceDescriptor:
 
     ``terms(start, stop)`` returns the values at indices ``start .. stop - 1``,
     for ``offset <= start``; a start below the offset raises ValueError.
+    ``base``, when set, is ``(id, constant)``: each window is that sequence's
+    window plus the constant, so `verify` can walk one window for both.
     """
 
     id: str
@@ -98,6 +100,7 @@ class SequenceDescriptor:
     summary: str = ""
     claimed: ParityRelation | None = None
     cost_class: str = CHEAP
+    base: tuple[str, int] | None = None
 
 
 _DESCRIPTORS = [
@@ -206,6 +209,7 @@ _DESCRIPTORS = [
         summary="sum of lcm-window quotients, r = 1..n",
         claimed=ParityRelation(shift=1, complement=True),
         cost_class=BIGNUM_HEAVY,
+        base=("A061297", -1),
     ),
     SequenceDescriptor(
         id="A003071",

@@ -39,17 +39,9 @@ package's one bytearray sieve `digits._primes`, and one table of prime
 powers; the prime powers up to each n are a prefix of it, and a stepped
 window factors each n with `digits._spf_window`.
 
-The module keeps the last window it walked until one call is served from it:
-a range that lies inside the kept window is sliced from it and takes it, so
-the module then holds nothing; any other range is walked and kept in its place.
-A093431 is the a061297 window less one, and `verify all` hands each of its
-windows to A061297 and then to A093431, so it walks the lcm sums once for
-both and ends holding no window.
-A long-lived process thus holds at most one window of terms, the last one it
-walked, and only until its first reuse: the window [0, 2049) is about 0.3 MB
-of integers, [0, 513) about 0.03 MB, and the one term at n = 19700 about
-2 KB.  Kept past that reuse, the [0, 513) window of `verify all` at the
-default ranges raised the benchmark's peak memory by 0.15 MB.  The summand
+The module keeps nothing between calls: each call walks its own window, and
+the caller holds what it returns: [0, 2049) is about 0.3 MB of integers,
+[0, 513) about 0.03 MB and the one term at n = 19700 about 2 KB.  The summand
 list lives only while its window is computed: stepping raises the tracemalloc
 peak of [0, 1025) from 142 KB to 249 KB and of [0, 2049) from 0.39 MB to
 0.76 MB, and leaves narrow windows as they were (0.88 MB at [19700, 19702)).
@@ -67,13 +59,6 @@ from operator import mul
 
 from .digits import _primes, _spf_window
 from .parity import binary_weight
-
-#: The last window a061297_terms walked, as one (start, stop, terms) tuple, or
-#: the empty window once a call has been served from it.  It is replaced by a
-#: single assignment, so a reader in another thread sees either the old window
-#: or the new one, never half of each.
-_NO_WINDOW: tuple[int, int, tuple[int, ...]] = (0, 0, ())
-_kept = _NO_WINDOW
 
 #: n from which a window walks every n: past about n = 9000 a step, which
 #: streams through a summand list of several MB, costs more than a walk.
@@ -219,24 +204,13 @@ def _a061297_window(start: int, stop: int) -> list[int]:
 
 
 def a061297_terms(start: int, stop: int) -> list[int]:
-    """a061297(n) for n = start .. stop - 1: sliced from the kept window when it
-    holds the range, which hands the window over, else walked by
-    _a061297_window and kept in its place."""
-    global _kept
+    """a061297(n) for n = start .. stop - 1, walked by _a061297_window."""
     if start < 0:
         raise ValueError(f"a061297 is defined for n >= 0, got {start}")
     if stop > sys.maxsize:  # the tables are lists indexed by n
         raise ValueError(f"the lcm sums are computed for n < sys.maxsize = {sys.maxsize}, "
                          f"got n = {stop - 1}")
-    if stop <= start:  # an empty range neither walks nor replaces the kept window
-        return []
-    kept_start, kept_stop, kept = _kept
-    if kept_start <= start and stop <= kept_stop:
-        _kept = _NO_WINDOW
-        return list(kept[start - kept_start : stop - kept_start])
-    out = _a061297_window(start, stop)
-    _kept = (start, stop, tuple(out))
-    return out
+    return _a061297_window(start, stop) if start < stop else []  # an empty range builds no tables
 
 
 def a061297(n: int) -> int:

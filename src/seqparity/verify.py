@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
+from functools import partial
 from itertools import islice, zip_longest
 from time import perf_counter
 
@@ -244,6 +245,22 @@ class VerificationReport(Record):
         )
 
 
+def _shared_terms(seq: SequenceDescriptor, windows: dict, start: int, stop: int) -> list[int]:
+    """seq's window [start, stop) in one verify_sequences call: a base puts each
+    window in windows as (start, terms), and the sequence built on it takes it
+    out and adds its constant to its own slice of it, if the window holds it."""
+    if seq.id in windows:
+        windows[seq.id] = None  # an unread window is not held through the next
+        windows[seq.id] = start, seq.terms(start, stop)
+        return windows[seq.id][1]
+    (base, constant), (lo, window) = seq.base, windows[seq.base[0]] or (0, [])
+    windows[base] = None
+    if lo <= start and stop <= lo + len(window):
+        return [v + constant for v in window[start - lo : stop - lo]]
+    del window  # not held while seq generates its own
+    return seq.terms(start, stop)
+
+
 def _check_steps(seq: SequenceDescriptor, check: SequenceCheck) -> Iterator[None]:
     """Fill in check for seq, one window of parities per step; after the last
     window the claim is checked and the relation fitted.  An error is recorded
@@ -273,8 +290,8 @@ def verify_sequences(
     range by cost class; every sequence must carry a claimed relation.
 
     The sequences walk their windows in lockstep: each window goes to every
-    sequence before the next is taken, so the A093431 window is sliced from
-    the a061297 window that A061297 has just walked, however wide the range.
+    sequence before the next is taken, so a sequence whose base is listed
+    before it slices each window from the base's, walked once (_shared_terms).
     """
     for seq in sequences:
         if seq.claimed is None:
@@ -282,6 +299,7 @@ def verify_sequences(
     if n_max_cheap < 32 or n_max_heavy < 32:
         raise ValueError("verification ranges must be at least 32")
     report = VerificationReport(n_max_cheap=n_max_cheap, n_max_heavy=n_max_heavy)
+    windows = dict.fromkeys(seq.base[0] for seq in sequences if seq.base is not None)
     steps = []
     for seq in sequences:
         n_max = n_max_heavy if seq.cost_class == BIGNUM_HEAVY else n_max_cheap
@@ -289,6 +307,9 @@ def verify_sequences(
             sequence_id=seq.id, offset=seq.offset, n_max=n_max, claimed=seq.claimed
         )
         report.checks.append(check)
+        if seq.id in windows or seq.base is not None:
+            terms = partial(_shared_terms, seq, windows)
+            seq = SequenceDescriptor(seq.id, seq.offset, terms, claimed=seq.claimed)
         steps.append(_check_steps(seq, check))
     for _ in zip_longest(*steps):  # one step of each sequence per round
         pass

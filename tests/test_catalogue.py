@@ -193,6 +193,16 @@ def test_a092524_window_at_one_even_n_and_primes_above_36():
         assert window[1:] == [p - 1, reinterpret_binary_by_powers(p, p), p + 1], p
 
 
+@pytest.mark.parametrize("start, stop", [(1, 2), (1, 40), (97, 131), (1020, 1030)])
+def test_a_declared_base_window_plus_its_constant_is_the_window(start, stop):
+    # verify slices a sequence's windows from its base's; a093431_terms must agree
+    built = {sid: seq.base for sid, seq in CATALOGUE.items() if seq.base is not None}
+    assert built == {"A093431": ("A061297", -1)}
+    for sid, (base, constant) in built.items():
+        expected = [v + constant for v in CATALOGUE[base].terms(start, stop)]
+        assert CATALOGUE[sid].terms(start, stop) == expected
+
+
 # The layer each generator's time counts under in the benchmark's traces:
 # the module that defines it, never the catalogue, whose name is taken by
 # the catalogue.terms_s total.

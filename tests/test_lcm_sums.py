@@ -1,6 +1,7 @@
 """Exact lcm-quotient sums and the 2-adic parity shortcut."""
 
 import sys
+import tracemalloc
 from math import lcm
 
 import pytest
@@ -49,7 +50,7 @@ def lcm_chain_sum(n: int) -> int:
 
 
 def walked(n: int) -> int:
-    """a061297(n) as the stateless kernel computes it, never from a kept window."""
+    """a061297(n) as the kernel computes it, past a061297_terms' range checks."""
     return _a061297_window(n, n + 1)[0]
 
 
@@ -69,14 +70,13 @@ def sieves(monkeypatch):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Empty the kept window and record each (start, stop) the kernel walks."""
+    """Record each (start, stop) the kernel walks."""
     calls = []
 
     def counted(start, stop):
         calls.append((start, stop))
         return _a061297_window(start, stop)
 
-    monkeypatch.setattr(lcm_sums, "_kept", lcm_sums._NO_WINDOW)
     monkeypatch.setattr(lcm_sums, "_a061297_window", counted)
     return calls
 
@@ -242,22 +242,6 @@ def test_a061297_terms_reject_a_negative_start():
         a061297(-1)
 
 
-def test_a061297_terms_slice_a_contained_window_from_the_kept_one(kernel_calls):
-    for start, stop in [(0, 200), (0, 200), (0, 200), (50, 120), (0, 200), (199, 200)]:
-        assert a061297_terms(start, stop) == _a061297_window(start, stop)
-    assert kernel_calls == [(0, 200), (0, 200), (0, 200)]
-
-
-def test_a061297_terms_hand_the_kept_window_to_the_call_served_from_it(kernel_calls):
-    a061297_terms(0, 200)
-    assert a061297(150) == lcm_chain_sum(150)
-    assert lcm_sums._kept == lcm_sums._NO_WINDOW
-    assert a061297_terms(60, 70) == [lcm_chain_sum(n) for n in range(60, 70)]
-    assert a061297_terms(7, 7) == []  # an empty range keeps the window
-    assert a061297_terms(61, 63) == [lcm_chain_sum(n) for n in range(61, 63)]
-    assert kernel_calls == [(0, 200), (60, 70)]
-
-
 def test_a061297_terms_return_a_fresh_list(kernel_calls):
     first = a061297_terms(10, 40)
     expected = [lcm_chain_sum(n) for n in range(10, 40)]
@@ -267,15 +251,7 @@ def test_a061297_terms_return_a_fresh_list(kernel_calls):
     assert part == expected[10:20]
     part.append(-1)
     assert a061297_terms(20, 30) == expected[10:20]
-    assert kernel_calls == [(10, 40), (20, 30)]
-
-
-def test_a061297_terms_walk_and_keep_a_window_that_is_not_contained(kernel_calls):
-    a061297_terms(0, 100)
-    assert a061297_terms(90, 110) == [lcm_chain_sum(n) for n in range(90, 110)]
-    assert lcm_sums._kept[:2] == (90, 110)
-    assert a061297_terms(95, 105) == [lcm_chain_sum(n) for n in range(95, 105)]
-    assert kernel_calls == [(0, 100), (90, 110)]
+    assert kernel_calls == [(10, 40), (20, 30), (20, 30)]  # every call walks
 
 
 def test_a061297_terms_reject_a_stop_past_sys_maxsize_before_allocating(kernel_calls):
@@ -294,31 +270,34 @@ def test_a061297_terms_refuse_tables_the_allocator_cannot_hold(kernel_calls):
     with pytest.raises(ValueError, match=refused):
         a093431(sys.maxsize - 1)
     assert kernel_calls == [(sys.maxsize - 1, sys.maxsize)] * 2
-    assert lcm_sums._kept == lcm_sums._NO_WINDOW
 
 
-def test_a061297_terms_check_the_start_before_the_kept_window(monkeypatch):
-    monkeypatch.setattr(lcm_sums, "_kept", (-5, 5, tuple(range(10))))
-    with pytest.raises(ValueError):
-        a061297_terms(-1, 2)
-    with pytest.raises(ValueError):
-        a061297(-1)
-
-
-@pytest.mark.parametrize("start, stop", [(1, 131), (1, 2), (120, 131), (64, 65)])
-def test_a093431_terms_are_sliced_from_the_kept_a061297_window(kernel_calls, start, stop):
-    a061297_terms(0, 131)
-    assert a093431_terms(start, stop) == [lcm_chain_sum(n) - 1 for n in range(start, stop)]
-    a061297_terms(0, 131)
-    assert a093431(100) == lcm_chain_sum(100) - 1
-    assert kernel_calls == [(0, 131), (0, 131)]
+@pytest.mark.parametrize(
+    "call",
+    [lambda n_max: a061297_terms(0, n_max + 1),
+     lambda n_max: verify_sequences([CATALOGUE["A061297"]], 64, n_max)],
+    ids=["a061297_terms", "verify_sequences"],
+)
+def test_a_long_lived_process_holds_no_lcm_window_after_a_call(call):
+    # the module once kept the last window it walked until a later call was
+    # served from it: 32,892 bytes of integers for [0, 513), the default heavy
+    # range (284,800 for [0, 2049), which takes 7 s to trace).  A small call
+    # first settles what any first call allocates once.
+    call(64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call(512)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 1024
 
 
 def test_verify_all_walks_the_lcm_sums_once_and_keeps_no_window(kernel_calls):
     report = verify_all(64, 200)
     assert {check.sequence_id for check in report.checks} >= {"A061297", "A093431"}
     assert kernel_calls == [(0, 201)]
-    assert lcm_sums._kept == lcm_sums._NO_WINDOW
 
 
 def test_verify_walks_each_lcm_term_once_across_many_windows(kernel_calls, monkeypatch):
@@ -332,8 +311,25 @@ def test_verify_walks_each_lcm_term_once_across_many_windows(kernel_calls, monke
     report = verify_sequences(sequences, 64, 1500)
     assert kernel_calls == [(lo, min(lo + 256, 1501)) for lo in range(1280, -1, -256)]
     assert sum(stop - start for start, stop in kernel_calls) == 1501
-    assert lcm_sums._kept == lcm_sums._NO_WINDOW
     assert report.to_text() == one_window
+
+
+def test_verify_walks_each_a093431_term_once_without_its_base(kernel_calls):
+    report = verify_sequences([CATALOGUE["A093431"]], 64, 200)
+    assert report.checks[0].error is None
+    assert kernel_calls == [(1, 201)]
+
+
+def test_a_base_listed_after_its_dependent_gives_the_same_report(kernel_calls, monkeypatch):
+    # listed first, A093431 finds no window of its round and walks its own
+    monkeypatch.setattr(verify, "W", 64)
+    lcm = [CATALOGUE["A061297"], CATALOGUE["A093431"]]
+    in_catalogue_order = verify_sequences(lcm, 64, 300).to_text().splitlines()
+    assert sum(stop - start for start, stop in kernel_calls) == 301
+    kernel_calls.clear()
+    reversed_lines = verify_sequences(lcm[::-1], 64, 300).to_text().splitlines()
+    assert sum(stop - start for start, stop in kernel_calls) == 300 + 301
+    assert reversed_lines[::-1] == in_catalogue_order
 
 
 @pytest.mark.parametrize("start, stop", [(1, 1), (1, 2), (1, 40), (7, 12), (120, 131), (1020, 1030)])

@@ -90,8 +90,10 @@ class SequenceDescriptor:
 
     ``terms(start, stop)`` returns the values at indices ``start .. stop - 1``,
     for ``offset <= start``; a start below the offset raises ValueError.
-    ``base``, when set, is ``(id, constant)``: each window is that sequence's
-    window plus the constant, so `verify` can walk one window for both.
+    ``base``, when set, is ``(id, derive)``: ``derive(start, window)`` turns
+    that sequence's window at ``start`` into this one's on the same indices,
+    in place in the given list, which it returns, and ``terms`` is the same
+    step on the base's own window.  So `verify` generates one window for both.
     """
 
     id: str
@@ -100,7 +102,7 @@ class SequenceDescriptor:
     summary: str = ""
     claimed: ParityRelation | None = None
     cost_class: str = CHEAP
-    base: tuple[str, int] | None = None
+    base: tuple[str, Callable[[int, list[int]], list[int]]] | None = None
 
 
 _DESCRIPTORS = [
@@ -166,6 +168,7 @@ _DESCRIPTORS = [
         terms=convolution.a029886_terms,
         summary="self-convolution of the {1,2} Thue-Morse sequence",
         claimed=ParityRelation(shift=0, complement=False),
+        base=("A247303", convolution.a029886_from_a247303),
     ),
     SequenceDescriptor(
         id="A001285",
@@ -186,6 +189,7 @@ _DESCRIPTORS = [
         terms=digits.a092524_terms,
         summary="binary digits of n read in base smallest-prime-factor(n)",
         claimed=ParityRelation(shift=1, complement=False),
+        base=("A104258", digits.a092524_from_a104258),
     ),
     SequenceDescriptor(
         id="A104258",
@@ -209,7 +213,7 @@ _DESCRIPTORS = [
         summary="sum of lcm-window quotients, r = 1..n",
         claimed=ParityRelation(shift=1, complement=True),
         cost_class=BIGNUM_HEAVY,
-        base=("A061297", -1),
+        base=("A061297", lcm_sums.a093431_from_a061297),
     ),
     SequenceDescriptor(
         id="A003071",

@@ -28,11 +28,13 @@ its width plus O(log n) levels.
 
 from __future__ import annotations
 
-from itertools import count, islice
+from itertools import islice
+from operator import add
 
 from .parity import _thue_morse_bytes
 
 _ONE_TWO = bytes.maketrans(b"\0\1", b"\1\2")
+_ZERO_FOUR = bytes.maketrans(b"\0\1", b"\0\4")
 
 
 def a001285(n: int) -> int:
@@ -90,16 +92,31 @@ def a247303(n: int) -> int:
     return a247303_terms(n, n + 1)[0]
 
 
+def a029886_from_a247303(start: int, terms: list[int]) -> list[int]:
+    """Turn the A247303 window at n = start .. start + len(terms) - 1 into the
+    A029886 window on the same range, in place: add 2(n+1) at odd n and
+    2n + 4t(n) at even n.  Each half is replaced by one slice assignment at C
+    speed, which holds that half's new terms beside the window."""
+    stop = start + len(terms)
+    odd, even = 1 - (start & 1), start & 1  # the first index of each
+    terms[odd::2] = map(
+        add, islice(terms, odd, None, 2), range(2 * (start + odd) + 2, 2 * stop + 2, 4)
+    )
+    four_t = _thue_morse_bytes(start, stop).translate(_ZERO_FOUR)
+    terms[even::2] = map(
+        add,
+        map(add, islice(terms, even, None, 2), range(2 * (start + even), 2 * stop, 4)),
+        islice(four_t, even, None, 2),
+    )
+    return terms
+
+
 def a029886_terms(start: int, stop: int) -> list[int]:
-    """Self-convolution of a001285 at n = start .. stop - 1, as the A247303 window
-    plus 2n + 4t(n) at even n and 2(n+1) at odd n."""
+    """Self-convolution of a001285 at n = start .. stop - 1: the A247303 window
+    turned by a029886_from_a247303."""
     if start < 0:
         raise ValueError(f"a029886 is defined for n >= 0, got {start}")
-    tm = _thue_morse_bytes(start, stop)
-    return [
-        a + 2 * n + (2 if n & 1 else 4 * t)
-        for n, t, a in zip(count(start), tm, a247303_terms(start, stop))
-    ]
+    return a029886_from_a247303(start, a247303_terms(start, stop))
 
 
 def a029886(n: int) -> int:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from array import array
-from itertools import compress
+from itertools import compress, count, islice
 from math import isqrt
 from operator import mul
 
@@ -12,6 +12,11 @@ from .parity import _FLIP, _thue_morse_bytes
 #: Primes up to this bound are sieved onto a whole window at once; larger ones,
 #: needed only above its square, are listed and applied one segment at a time.
 _SIEVE_LIMIT = 1 << 16
+#: The segment walk lists the primes below this bound and no further, so every
+#: n below its square is factored, and a larger n only if it has a prime factor
+#: below the bound.  A window holding any other n is refused: at the largest
+#: prime below 2**48 the walk takes about a second, at one near 2**64 minutes.
+_PRIME_REACH = 1 << 24
 
 
 def _primes(lo: int, hi: int) -> list[int]:
@@ -37,7 +42,10 @@ def _spf_window(start: int, stop: int) -> array:
     still at 0 may have a larger factor; those few entries are settled by the
     primes above the limit in increasing order, one segment at a time, and the
     walk ends as soon as none is left that a larger prime could divide.  Memory
-    is the window plus one segment, however large `stop` is.
+    is the window plus one segment, however large `stop` is.  An entry of at
+    least _PRIME_REACH**2 that no prime below _PRIME_REACH divides is a
+    ValueError, raised once the window is allocated, so that a window too wide
+    to allocate is a MemoryError first.
     """
     width = max(stop - start, 0)
     spf = array("Q", [0]) * width
@@ -51,7 +59,11 @@ def _spf_window(start: int, stop: int) -> array:
     lo = limit + 1
     pending = [i for i in range(max(lo * lo - start, 0), width) if not spf[i]]
     while pending and lo * lo <= start + pending[-1]:
-        hi = min(lo + _SIEVE_LIMIT, isqrt(start + pending[-1]) + 1)
+        if lo >= _PRIME_REACH:
+            k = _PRIME_REACH.bit_length() - 1
+            raise ValueError(f"smallest prime factors are found below 2**{k} only, and "
+                             f"n = {start + pending[-1]} >= 2**{2 * k} has none there")
+        hi = min(lo + _SIEVE_LIMIT, isqrt(start + pending[-1]) + 1, _PRIME_REACH)
         for p in _primes(lo, hi):
             for i in range(max(p * p, -(-start // p) * p) - start, width, p):
                 if not spf[i]:
@@ -62,7 +74,8 @@ def _spf_window(start: int, stop: int) -> array:
 
 
 def smallest_prime_factor(n: int) -> int:
-    """Least prime dividing n (n >= 2): the one-term window of the sieve behind A092524."""
+    """Least prime dividing n (n >= 2): the one-term window of the sieve behind
+    A092524, so a ValueError for an n >= 2**48 with no prime factor below 2**24."""
     if n < 2:
         raise ValueError(f"smallest prime factor requires n >= 2, got {n}")
     return _spf_window(n, n + 1)[0] or n
@@ -86,20 +99,41 @@ def reinterpret_binary(n: int, base: int) -> int:
     return total
 
 
+def a092524_from_a104258(start: int, terms: list[int]) -> list[int]:
+    """Turn the A104258 window at n = start .. start + len(terms) - 1 into the
+    A092524 window on the same range, in place: an even n read in base 2 is n
+    itself, an odd composite is read in its smallest prime factor, and a prime
+    or n = 1, read in its own base, keeps A104258's value.  One index at a
+    time, so no window-wide temporary is held beside the terms, and the even
+    n are set before the sieve is allocated, so their A104258 values are gone
+    by then; where the sieve refuses the window, they stay set."""
+    for i in range(start & 1, len(terms), 2):
+        terms[i] = start + i
+    spf = _spf_window(start, start + len(terms))
+    return _reread_odd_composites(start, terms, spf)
+
+
+def _reread_odd_composites(start: int, terms: list[int], spf: array) -> list[int]:
+    """Set each odd composite n of the window at start to its binary digits
+    read in its smallest prime factor spf[n - start], in place; int() parses
+    the bases up to 36."""
+    first = 1 - (start & 1)
+    for i, p in zip(count(first, 2), islice(spf, first, None, 2)):
+        if p:
+            n = start + i
+            terms[i] = int(bin(n)[2:], p) if p <= 36 else reinterpret_binary(n, p)
+    return terms
+
+
 def a092524_terms(start: int, stop: int) -> list[int]:
-    """A092524 at n = start .. stop - 1, from one smallest-prime-factor sieve of the window."""
+    """A092524 at n = start .. stop - 1, from one smallest-prime-factor sieve of
+    the window: n at even n, A104258's value at the primes and n = 1, and the
+    odd composites read as in a092524_from_a104258."""
     if start < 1:
         raise ValueError(f"a092524 is defined for n >= 1, got {start}")
     spf = _spf_window(start, stop)
-    # an even n read in base 2 is n itself, and a base int() parses is read
-    # inline; an entry left at 0 is a prime, read in its own base, or n = 1,
-    # which any base reads as 1
-    return [
-        n if not n & 1
-        else int(format(n, "b"), p) if 3 <= p <= 36
-        else reinterpret_binary(n, p or n)
-        for n, p in zip(range(start, stop), spf)
-    ]
+    terms = [n if p else reinterpret_binary(n, n) for n, p in zip(range(start, stop), spf)]
+    return _reread_odd_composites(start, terms, spf)
 
 
 def a092524(n: int) -> int:

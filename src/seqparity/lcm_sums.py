@@ -219,11 +219,20 @@ def a061297(n: int) -> int:
     return a061297_terms(n, n + 1)[0]
 
 
+def a093431_from_a061297(start: int, terms: list[int]) -> list[int]:
+    """Turn an a061297 window into the a093431 window on the same range, in
+    place: each term less its r = 0 summand, 1."""
+    for i, v in enumerate(terms):
+        terms[i] = v - 1
+    return terms
+
+
 def a093431_terms(start: int, stop: int) -> list[int]:
-    """a093431(n) for n = start .. stop - 1: the a061297 window less its r = 0 summand."""
+    """a093431(n) for n = start .. stop - 1: the a061297 window turned by
+    a093431_from_a061297."""
     if start < 1:
         raise ValueError(f"a093431 is defined for n >= 1, got {start}")
-    return [v - 1 for v in a061297_terms(start, stop)]
+    return a093431_from_a061297(start, a061297_terms(start, stop))
 
 
 def a093431(n: int) -> int:

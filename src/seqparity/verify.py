@@ -35,8 +35,8 @@ MISMATCH_SAMPLE_CAP = 10
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _pack(bits: list[int]) -> int:
-    """The 0/1 list as one int whose bit i is bits[i]."""
+def _pack(bits: list[int] | bytes) -> int:
+    """The 0/1 bits as one int whose bit i is bits[i]."""
     return int(bytes(bits)[::-1].translate(_BINARY_DIGITS) or b"0", 2)
 
 
@@ -64,24 +64,37 @@ def _window_parities(seq: SequenceDescriptor, n_max: int) -> Iterator[int]:
     """The parities of seq's values at [offset, n_max], one window of
     _windows at a time: each is packed by _pack and shifted to its place in
     the parity word, and its terms are dropped before the next is generated.
-    The windows' bits are disjoint, so their sum is the whole word."""
+    The windows' bits are disjoint, so their sum is the whole word.  The list
+    of parities is dropped as soon as it is bytes, before _pack copies them,
+    since a base's terms stay alive for the sequence built on it
+    (_shared_terms)."""
     if n_max < seq.offset:
         raise ValueError(f"n_max {n_max} is below the offset of {seq.id}")
     for lo, hi in _windows(seq.offset, n_max):
-        yield _pack([v & 1 for v in seq.terms(lo, hi)]) << (lo - seq.offset)
+        yield _pack(bytes([v & 1 for v in seq.terms(lo, hi)])) << (lo - seq.offset)
+
+
+def _reach(rel: ParityRelation) -> int:
+    """How far past n_max the master bits a check of rel and the fit read reach."""
+    return max(MAX_SHIFT, abs(rel.shift))
+
+
+def _master_word(n_max: int, reach: int) -> int:
+    """The master bits on [0, n_max + reach], packed into one int."""
+    return _pack(master_prefix(n_max + reach + 1))
 
 
 class _PackedParities:
-    """A sequence's parity word on [offset, n_max] and the master bits on
-    [0, n_max + max(MAX_SHIFT, |shift|)], each packed into one int, so that
-    the fit's relations and one of the given shift are each checked with a
-    few big-int operations."""
+    """A sequence's parity word on [offset, n_max] and the master word of
+    _master_word at a reach of at least the shift checked, so that the fit's
+    relations and one of the given shift are each checked with a few big-int
+    operations."""
 
-    def __init__(self, offset: int, n_max: int, parities: int, shift: int) -> None:
+    def __init__(self, offset: int, n_max: int, parities: int, master: int) -> None:
         self.offset = offset
         self.n_max = n_max
         self.parities = parities
-        self.master = _pack(master_prefix(n_max + max(MAX_SHIFT, abs(shift)) + 1))
+        self.master = master
 
     def mismatches(self, rel: ParityRelation) -> int:
         """Bit n is set iff the relation fails at n, for n in [max(offset, -shift), n_max]."""
@@ -109,7 +122,8 @@ def check_relation(
     seq: SequenceDescriptor, rel: ParityRelation, n_max: int
 ) -> list[int]:
     """All n in [max(offset, -shift), n_max] where the relation fails."""
-    packed = _PackedParities(seq.offset, n_max, sum(_window_parities(seq, n_max)), rel.shift)
+    parities = sum(_window_parities(seq, n_max))
+    packed = _PackedParities(seq.offset, n_max, parities, _master_word(n_max, _reach(rel)))
     return _set_bits(packed.mismatches(rel))
 
 
@@ -125,7 +139,8 @@ def fit_relation(seq: SequenceDescriptor, n_max: int) -> ParityRelation | None:
             f"n_max {n_max} too small to fit relations for {seq.id} "
             f"(need at least offset + {2 * MAX_SHIFT})"
         )
-    return _PackedParities(seq.offset, n_max, sum(_window_parities(seq, n_max)), 0).fit()
+    parities = sum(_window_parities(seq, n_max))
+    return _PackedParities(seq.offset, n_max, parities, _master_word(n_max, MAX_SHIFT)).fit()
 
 
 class SequenceCheck(Record):
@@ -246,25 +261,30 @@ class VerificationReport(Record):
 
 
 def _shared_terms(seq: SequenceDescriptor, windows: dict, start: int, stop: int) -> list[int]:
-    """seq's window [start, stop) in one verify_sequences call: a base puts each
-    window in windows as (start, terms), and the sequence built on it takes it
-    out and adds its constant to its own slice of it, if the window holds it."""
+    """seq's window [start, stop) in one verify_sequences call.  A base puts each
+    of its windows in windows as (start, terms); the sequence built on it,
+    which runs next, takes it out, cuts it to its own range and derives its
+    window from it in place.  Where the base's window does not hold its own, it
+    generates its own."""
     if seq.id in windows:
         windows[seq.id] = None  # an unread window is not held through the next
         windows[seq.id] = start, seq.terms(start, stop)
         return windows[seq.id][1]
-    (base, constant), (lo, window) = seq.base, windows[seq.base[0]] or (0, [])
+    (base, derive), (lo, window) = seq.base, windows[seq.base[0]] or (0, [])
     windows[base] = None
     if lo <= start and stop <= lo + len(window):
-        return [v + constant for v in window[start - lo : stop - lo]]
+        del window[stop - lo :]
+        del window[: start - lo]
+        return derive(start, window)
     del window  # not held while seq generates its own
     return seq.terms(start, stop)
 
 
-def _check_steps(seq: SequenceDescriptor, check: SequenceCheck) -> Iterator[None]:
+def _check_steps(seq: SequenceDescriptor, check: SequenceCheck, masters: dict) -> Iterator[None]:
     """Fill in check for seq, one window of parities per step; after the last
-    window the claim is checked and the relation fitted.  An error is recorded
-    in check and ends the steps."""
+    window the claim is checked and the relation fitted, against the master
+    word of masters at (n_max, reach), built here if it is not there yet.  An
+    error is recorded in check and ends the steps."""
     try:
         word = 0
         started = perf_counter()
@@ -273,7 +293,10 @@ def _check_steps(seq: SequenceDescriptor, check: SequenceCheck) -> Iterator[None
             check.generate_s += perf_counter() - started
             yield
             started = perf_counter()  # the next window's clock; after the last, the fit's
-        packed = _PackedParities(seq.offset, check.n_max, word, seq.claimed.shift)
+        key = check.n_max, _reach(seq.claimed)
+        if key not in masters:
+            masters[key] = _master_word(*key)
+        packed = _PackedParities(seq.offset, check.n_max, word, masters[key])
         bad = packed.mismatches(seq.claimed)
         check.claimed_mismatch_count = bad.bit_count()
         check.claimed_mismatch_sample = _set_bits(bad, MISMATCH_SAMPLE_CAP)
@@ -290,8 +313,10 @@ def verify_sequences(
     range by cost class; every sequence must carry a claimed relation.
 
     The sequences walk their windows in lockstep: each window goes to every
-    sequence before the next is taken, so a sequence whose base is listed
-    before it slices each window from the base's, walked once (_shared_terms).
+    sequence before the next is taken.  A sequence whose base is listed runs
+    right after it in each round, and derives its window from the base's
+    (_shared_terms); the report keeps the listed order.  Sequences on the same
+    range and reach share one master word.
     """
     for seq in sequences:
         if seq.claimed is None:
@@ -300,6 +325,7 @@ def verify_sequences(
         raise ValueError("verification ranges must be at least 32")
     report = VerificationReport(n_max_cheap=n_max_cheap, n_max_heavy=n_max_heavy)
     windows = dict.fromkeys(seq.base[0] for seq in sequences if seq.base is not None)
+    masters: dict[tuple[int, int], int] = {}
     steps = []
     for seq in sequences:
         n_max = n_max_heavy if seq.cost_class == BIGNUM_HEAVY else n_max_cheap
@@ -310,8 +336,15 @@ def verify_sequences(
         if seq.id in windows or seq.base is not None:
             terms = partial(_shared_terms, seq, windows)
             seq = SequenceDescriptor(seq.id, seq.offset, terms, claimed=seq.claimed)
-        steps.append(_check_steps(seq, check))
-    for _ in zip_longest(*steps):  # one step of each sequence per round
+        steps.append(_check_steps(seq, check, masters))
+    listed = {seq.id: i for i, seq in enumerate(sequences)}
+
+    def run_position(i: int) -> tuple[int, int]:  # right after a listed base
+        base = sequences[i].base
+        return (listed[base[0]], 1) if base is not None and base[0] in listed else (i, 0)
+
+    ordered = [steps[i] for i in sorted(range(len(steps)), key=run_position)]
+    for _ in zip_longest(*ordered):  # one step of each sequence per round
         pass
     return report
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     a001855_by_blocks,
     a003071_suffix_sum,
+    a029886_by_digits,
     a029886_prefix,
     a048883_by_halving,
     a092524_by_trial,
@@ -195,12 +196,41 @@ def test_a092524_window_at_one_even_n_and_primes_above_36():
 
 @pytest.mark.parametrize("start, stop", [(1, 2), (1, 40), (97, 131), (1020, 1030)])
 def test_a_declared_base_window_plus_its_constant_is_the_window(start, stop):
-    # verify slices a sequence's windows from its base's; a093431_terms must agree
-    built = {sid: seq.base for sid, seq in CATALOGUE.items() if seq.base is not None}
-    assert built == {"A093431": ("A061297", -1)}
-    for sid, (base, constant) in built.items():
-        expected = [v + constant for v in CATALOGUE[base].terms(start, stop)]
-        assert CATALOGUE[sid].terms(start, stop) == expected
+    # verify derives a sequence's windows from its base's, in place; its own
+    # terms must agree
+    built = {sid: seq.base[0] for sid, seq in CATALOGUE.items() if seq.base is not None}
+    assert built == {"A029886": "A247303", "A092524": "A104258", "A093431": "A061297"}
+    for sid, base in built.items():
+        window = CATALOGUE[base].terms(start, stop)
+        derived = CATALOGUE[sid].base[1](start, window)
+        assert derived is window
+        assert derived == CATALOGUE[sid].terms(start, stop)
+
+
+# n = 1, odd and even starts, the prime 8191, windows across multiples of
+# verify.W and where binary weights pass 32
+DERIVED_WINDOWS = [
+    (1, 2), (1, 64), (2, 3), (97, 161), (1020, 1084), (8191, 8255),
+    (W - 3, W + 3), (2 * W - 1, 2 * W + 2), (2**32 - 31, 2**32 + 33),
+]
+
+
+DEEP_ORACLES = {"A029886": a029886_by_digits, "A092524": a092524_by_trial}
+
+
+@pytest.mark.parametrize("sid", ["A029886", "A092524", "A093431"])
+def test_each_declared_derivation_matches_its_standalone_window(sid):
+    seq = CATALOGUE[sid]
+    base, derive = seq.base
+    for start, stop in DERIVED_WINDOWS:
+        if sid == "A093431" and start > W:
+            continue  # each lcm term deeper than W walks for tens of milliseconds
+        window = CATALOGUE[base].terms(start, stop)
+        assert derive(start, window) == seq.terms(start, stop), (start, stop)
+    if sid in DEEP_ORACLES:  # and a deep window against a route of its own
+        start, stop = DERIVED_WINDOWS[-1]
+        expected = [DEEP_ORACLES[sid](n) for n in range(start, stop)]
+        assert derive(start, CATALOGUE[base].terms(start, stop)) == expected
 
 
 # The layer each generator's time counts under in the benchmark's traces:

@@ -26,7 +26,7 @@ from oracles import (
     build_parser_eager,
     master_m_recursive,
 )
-from seqparity import __version__, oeis
+from seqparity import __version__, digits, oeis
 from seqparity.catalogue import CATALOGUE, parity_catalogue
 from seqparity.cli import build_parser, main, parse_args
 from seqparity.lcm_sums import a061297
@@ -761,6 +761,43 @@ def test_verify_reports_an_lcm_range_past_sys_maxsize_on_its_line(capsys):
     assert (code, err) == (1, "")
     assert out == (f"A061297  error: ValueError: the lcm sums are computed for n < sys.maxsize = "
                    f"{sys.maxsize}, got n = {10**21}\n")
+
+
+def test_gen_refuses_an_a092524_window_past_the_sieve_reach_in_one_line(capsys):
+    # 2**64 - 59 is prime: its smallest prime factor is past the 2**24 the
+    # sieve's walk reaches, which it gets to about a second in
+    code, out, err = run_cli(capsys, "gen", "A092524", "--from", str(2**64 - 59), "--count", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: smallest prime factors are found below 2**24 only, and "
+                   f"n = {2**64 - 59} >= 2**48 has none there\n")
+
+
+# the sieve's reach scaled down, so that a range past 2**16 is refused quickly
+SMALL_REACH_REFUSED = ("smallest prime factors are found below 2**8 only, and "
+                       "n = 65537 >= 2**16 has none there")
+
+
+@pytest.fixture
+def small_reach(monkeypatch):
+    monkeypatch.setattr(digits, "_SIEVE_LIMIT", 16)
+    monkeypatch.setattr(digits, "_PRIME_REACH", 1 << 8)
+
+
+def test_parity_refuses_an_a092524_window_past_the_sieve_reach_in_one_line(capsys, small_reach):
+    code, out, err = run_cli(capsys, "parity", "A092524", "--from", "65530", "--count", "8")
+    assert (code, out, err) == (2, "", f"error: {SMALL_REACH_REFUSED}\n")
+
+
+@pytest.mark.parametrize("argv", [["A092524"], ["all"]])
+def test_verify_records_an_a092524_range_past_the_sieve_reach_on_its_line(
+        capsys, small_reach, argv):
+    # alone or derived from the A104258 window of its round, A092524 is refused
+    # at its top window, 65536..65537, and the others go on
+    code, out, err = run_cli(capsys, "verify", *argv, "--n-max", "65537")
+    assert (code, err) == (1, "")
+    assert f"A092524  error: ValueError: {SMALL_REACH_REFUSED}\n" in out
+    assert out.count("error") == 1
+    assert len(out.splitlines()) == (1 if argv == ["A092524"] else 10)
 
 
 # the lcm sums' tables hold one entry per n up to the range's top; near

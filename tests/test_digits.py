@@ -16,6 +16,7 @@ from seqparity.digits import (
     a092524_terms,
     a102393,
     a104258,
+    a104258_terms,
     reinterpret_binary,
     smallest_prime_factor,
 )
@@ -211,3 +212,30 @@ def test_a102393_values_are_zero_or_n_plus_one():
 
 def test_a102393_parity_follows_master_sequence():
     assert all(a102393(n) % 2 == master_m(n) for n in range(2**14 + 1))
+
+
+def test_the_sieve_factors_below_its_reach_and_refuses_past_it(monkeypatch):
+    # scaled down: primes below 2**8 reach every n below 2**16, and a larger n
+    # with a prime factor below 2**8
+    monkeypatch.setattr(digits, "_SIEVE_LIMIT", 16)
+    monkeypatch.setattr(digits, "_PRIME_REACH", 1 << 8)
+    assert spf_listing(65000, 65536) == spf_by_trial(65000, 65536)
+    assert spf_listing(65536, 65537) == [2]
+    assert smallest_prime_factor(251 * 65537) == 251
+    # 65537 is prime and 67591 = 257 * 263; the message names the largest such n
+    for start, stop, n in [(65537, 65538, 65537), (67580, 67600, 67591)]:
+        refused = rf"^smallest prime factors are found below 2\*\*8 only, and n = {n} >= 2\*\*16 has none there$"
+        with pytest.raises(ValueError, match=refused):
+            digits._spf_window(start, stop)
+        with pytest.raises(ValueError, match=refused):
+            a092524_terms(start, stop)
+        with pytest.raises(ValueError, match=refused):
+            digits.a092524_from_a104258(start, a104258_terms(start, stop))
+
+
+def test_the_sieve_reaches_the_largest_prime_below_2_48_and_refuses_2_64_minus_59():
+    assert smallest_prime_factor(2**48 - 59) == 2**48 - 59
+    refused = (r"^smallest prime factors are found below 2\*\*24 only, and "
+               r"n = 18446744073709551557 >= 2\*\*48 has none there$")
+    with pytest.raises(ValueError, match=refused):
+        smallest_prime_factor(2**64 - 59)

@@ -1,8 +1,10 @@
 """Relation checking and fitting against the master sequence."""
 
 import dataclasses
+import time
 
 import pytest
+from oracles import traced_peak
 
 from seqparity.catalogue import (
     BIGNUM_HEAVY,
@@ -12,7 +14,7 @@ from seqparity.catalogue import (
     parity_catalogue,
 )
 from seqparity import verify
-from seqparity.parity import master_m
+from seqparity.parity import master_m, master_prefix
 from seqparity.verify import (
     MAX_SHIFT,
     MISMATCH_SAMPLE_CAP,
@@ -380,3 +382,135 @@ def test_a_relation_at_the_fit_edge_is_fitted_by_every_route(shift, n_max):
     assert check.fitted == rel
     assert check.claimed_mismatch_count == len(
         naive_mismatches(parities, MAX_SHIFT, seq.claimed, n_max))
+
+
+# each sequence built on another, and its base
+PAIRS = [("A029886", "A247303"), ("A092524", "A104258"), ("A093431", "A061297")]
+
+
+def recorded(calls, seq):
+    """seq with its terms and its derivation, if any, appending to calls."""
+
+    def terms(start, stop):
+        calls.append(("terms", seq.id, start, stop))
+        return seq.terms(start, stop)
+
+    base = None
+    if seq.base is not None:
+        def derive(start, window):
+            calls.append(("derive", seq.id, start, start + len(window)))
+            return seq.base[1](start, window)
+
+        base = (seq.base[0], derive)
+    return SequenceDescriptor(seq.id, seq.offset, terms, claimed=seq.claimed,
+                              cost_class=seq.cost_class, base=base)
+
+
+def test_each_dependent_derives_every_window_from_its_base_in_the_same_round(monkeypatch):
+    monkeypatch.setattr(verify, "W", 64)
+    calls = []
+    sequences = [recorded(calls, seq) for seq in parity_catalogue()]
+    report = verify_sequences(sequences, 200, 100)
+    # in each round a dependent runs right after its base, listed before it or not
+    first_round = [(kind, sid) for kind, sid, start, stop in calls if stop in (201, 101)]
+    assert first_round == [
+        ("terms", "A128975"), ("terms", "A102393"), ("terms", "A247303"),
+        ("derive", "A029886"), ("terms", "A104258"), ("derive", "A092524"),
+        ("terms", "A061297"), ("derive", "A093431"), ("terms", "A003071"),
+        ("terms", "A122248"),
+    ]
+    # every window of a dependent is derived: it never generates its own
+    for dependent, base in PAIRS:
+        derived = [(start, stop) for kind, sid, start, stop in calls if sid == dependent]
+        walked = [(start, stop) for kind, sid, start, stop in calls if sid == base]
+        offset = CATALOGUE[dependent].offset
+        assert derived == [(max(start, offset), stop) for start, stop in walked]
+        assert all(kind == "derive" for kind, sid, *_ in calls if sid == dependent)
+    assert [check.sequence_id for check in report.checks] == [
+        seq.id for seq in parity_catalogue()]
+    assert report.to_text() == verify_all(200, 100).to_text()
+
+
+@pytest.mark.parametrize("dependent, base", PAIRS)
+def test_a_dependent_reports_the_same_before_after_or_without_its_base(
+        monkeypatch, dependent, base):
+    # W at 64 makes several rounds, each sharing one base window
+    monkeypatch.setattr(verify, "W", 64)
+    dep, own = CATALOGUE[dependent], CATALOGUE[base]
+    alone = [verify_sequences([seq], 300, 200).checks[0].to_line() for seq in (dep, own)]
+    before = [check.to_line() for check in verify_sequences([dep, own], 300, 200).checks]
+    after = [check.to_line() for check in verify_sequences([own, dep], 300, 200).checks]
+    assert before == alone
+    assert after == alone[::-1]
+
+
+def test_a_dependent_whose_base_refuses_generates_its_own_windows(monkeypatch):
+    # the base's step ends at its error, so no window of its is handed over
+    monkeypatch.setattr(verify, "W", 64)
+
+    def broken(start, stop):
+        raise RuntimeError("boom")
+
+    base = SequenceDescriptor("A247303", 0, broken, claimed=ParityRelation(0, False))
+    calls = []
+    dep = recorded(calls, CATALOGUE["A029886"])
+    report = verify_sequences([dep, base], 200, 200)
+    assert [check.error for check in report.checks] == [None, "RuntimeError: boom"]
+    assert {kind for kind, *_ in calls} == {"terms"}
+    assert report.checks[0].to_line() == verify_sequences(
+        [CATALOGUE["A029886"]], 200, 200).checks[0].to_line()
+
+
+@pytest.mark.parametrize("n_max_cheap, n_max_heavy, builds", [
+    (64, 48, [64 + MAX_SHIFT + 1, 48 + MAX_SHIFT + 1]),
+    (64, 64, [64 + MAX_SHIFT + 1]),
+])
+def test_the_master_word_is_built_once_per_range_and_reach(
+        monkeypatch, n_max_cheap, n_max_heavy, builds):
+    lengths = []
+
+    def counted(length):
+        lengths.append(length)
+        return master_prefix(length)
+
+    monkeypatch.setattr(verify, "master_prefix", counted)
+    report = verify_all(n_max_cheap, n_max_heavy)
+    assert sorted(lengths, reverse=True) == builds
+    lengths.clear()
+    # a claim past MAX_SHIFT reaches further, and builds one word of its own
+    far = SequenceDescriptor("far", 0, CATALOGUE["A102393"].terms,
+                             claimed=ParityRelation(6, False))
+    with_far = verify_sequences([*parity_catalogue(), far], n_max_cheap, n_max_heavy)
+    assert sorted(lengths, reverse=True) == sorted(
+        [*builds, n_max_cheap + 6 + 1], reverse=True)
+    assert with_far.to_text().startswith(report.to_text())
+
+
+def test_a_shared_master_word_counts_in_the_fit_time_of_the_check_that_builds_it(monkeypatch):
+    def slow(length):
+        time.sleep(0.05)
+        return master_prefix(length)
+
+    monkeypatch.setattr(verify, "master_prefix", slow)
+    report = verify_all(64, 64)
+    # A128975 runs first, so it builds the one word every check reads
+    assert report.checks[0].sequence_id == "A128975"
+    assert report.checks[0].fit_s >= 0.05
+    assert all(check.fit_s < 0.05 for check in report.checks[1:])
+
+
+@pytest.mark.parametrize("n_max_cheap, bound", [(4096, 305_054), (65536, 1_484_731)])
+def test_verify_all_peaks_below_the_figures_measured_before_windows_were_shared(n_max_cheap, bound):
+    # tracemalloc measured these peaks for verify_all(n_max_cheap, 512) before
+    # a dependent derived its windows from its base's (Python 3.11; 277,258 and
+    # 1,398,812 on 3.10, 304,630 and 1,484,267 on 3.12 and 3.13).  A base's
+    # window now stays alive while its parities are packed, and with the list
+    # of parities dropped once it is bytes the peaks read 266,937 and 1,475,078
+    # (3.11), 266,737 and 1,474,694 (3.12) and 266,737 and 1,474,647 (3.13).
+    # On 3.10 they read 266,484 and 1,417,969: the 65536 run holds the 16384
+    # A104258 terms and their parity list at once, 19,157 bytes above that
+    # version's earlier peak, still below this bound.
+    verify_all(64, 64)  # settle what any first call allocates once
+    report, peak = traced_peak(verify_all, n_max_cheap, 512)
+    assert report.checks[-1].error is None
+    assert peak <= bound

@@ -7,13 +7,12 @@ be off by a shift.  The verifier reports claimed-versus-fitted side by side
 rather than silently correcting anything.
 
 Every range generator is a ``*_terms(start, stop)`` window in the module that
-owns its sequence, and computes the terms it returns and no prefix of terms
-below them.  Most cost O(width): one formula per index on its binary weight.
-The convolutions, A122248 and A003071 cost the window's width times at most the
-bit length of its start; A092524 sieves with the primes up to sqrt(stop), and
-the lcm sums build their prime-power tables over [0, stop).  The per-index
-scalars beside the windows are the public per-index API, each the one-term
-window of its sequence, so a window is the only route that computes its terms.
+owns its sequence, the values at n = start .. stop - 1.  It computes the terms
+it returns and no prefix of terms below them, at the cost that module states.
+The per-index scalars beside the windows (`evil`, `a001855`, ...) are the
+public per-index API, each the one-term window of its sequence, so a window
+is the only route that computes its terms; `thue_morse`, `thue_morse_bar` and
+`binary_weight` are the primitives that define t.
 """
 
 from __future__ import annotations

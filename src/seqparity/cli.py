@@ -1,12 +1,8 @@
 """Command-line interface: generate terms, query parities, verify relations,
 and cross-check against OEIS b-files.
 
-Exit codes, all set in `main`: 0 success; 1 a failed verify or cross-check,
-an offset mismatch included; 2 a usage or input error, a count too large to
-allocate or index, or unwritable output, a closed stdout and `--timings` that
-stderr refuses included. Help and version text is output like any other, so
-a refused write of it is exit 2 too; a closed stdout is refused before the
-arguments are read.
+`main` sets every exit code; README's CLI section states them, with the
+contract on stdout and stderr.
 """
 
 from __future__ import annotations

@@ -36,26 +36,31 @@ def _spf_window(start: int, stop: int) -> array:
     """Smallest prime factor of each n in [start, stop), start >= 1, or 0 where
     n is 1 or prime.
 
-    The primes up to min(sqrt(stop - 1), _SIEVE_LIMIT) are slice-assigned onto
-    their multiples from p*p on, largest prime first, so the smallest prime
-    dividing an entry is the last to write it.  An entry above _SIEVE_LIMIT**2
-    still at 0 may have a larger factor; those few entries are settled by the
-    primes above the limit in increasing order, one segment at a time, and the
-    walk ends as soon as none is left that a larger prime could divide.  Memory
-    is the window plus one segment, however large `stop` is.  An entry of at
-    least _PRIME_REACH**2 that no prime below _PRIME_REACH divides is a
-    ValueError, raised once the window is allocated, so that a window too wide
-    to allocate is a MemoryError first.
+    The even entries but n = 2's are filled with 2 from a repeated two-entry
+    pattern, so no temporary half as wide as the window is held.  The odd
+    primes up to min(sqrt(stop - 1), _SIEVE_LIMIT) are slice-assigned onto
+    their odd multiples from p*p on, step 2p, largest prime first, so the
+    smallest prime dividing an entry is the last to write it.  An entry above
+    _SIEVE_LIMIT**2 still at 0 may have a larger factor; those few entries are
+    settled by the primes above the limit in increasing order, one segment at
+    a time, and the walk ends as soon as none is left that a larger prime could
+    divide.  Memory is the window plus one segment, however large `stop` is.
+    An entry of at least _PRIME_REACH**2 that no prime below _PRIME_REACH
+    divides is a ValueError, raised once the window is allocated, so that a
+    window too wide to allocate is a MemoryError first.
     """
     width = max(stop - start, 0)
-    spf = array("Q", [0]) * width
+    spf = array("Q", [0, 2] if start & 1 else [2, 0]) * ((width + 1) // 2)
+    del spf[width:]
     if width == 0:
         return spf
+    if start <= 2 < stop:
+        spf[2 - start] = 0
     limit = min(isqrt(stop - 1), _SIEVE_LIMIT)
-    for p in reversed(_primes(2, limit + 1)):
-        first = max(p * p, -(-start // p) * p) - start
+    for p in reversed(_primes(3, limit + 1)):
+        first = max(p * p, (-(-start // p) | 1) * p) - start  # odd multiples only
         if first < width:
-            spf[first::p] = array("Q", [p]) * ((width - 1 - first) // p + 1)
+            spf[first :: 2 * p] = array("Q", [p]) * ((width - 1 - first) // (2 * p) + 1)
     lo = limit + 1
     pending = [i for i in range(max(lo * lo - start, 0), width) if not spf[i]]
     while pending and lo * lo <= start + pending[-1]:

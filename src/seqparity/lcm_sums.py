@@ -3,48 +3,13 @@
 a061297(n) sums q_r = lcm(n, n-1, ..., n-r+1) / lcm(1, 2, ..., r) over
 r = 0..n; the empty window has lcm 1.  Every prime power P <= r divides one of
 any r consecutive integers, so lcm(1..r) divides the window lcm and every
-summand is an exact integer.
+summand is an exact integer.  a093431(n) is the same sum over r = 1..n.
 
-For r >= ceil(n/2) the window {n-r+1, ..., n} holds all of (r, n], since
-n - r <= r, so every prime power up to n divides its lcm and
-lcm(n-r+1..n) / lcm(1..r) = lcm(1..n) / lcm(1..r).  That upper half of the sum
-depends on n alone, and a window of n carries it from n to n+1 in a few
-big-integer steps (the V/B carry of `_a061297_window`).
-
-The lower half, r < h = ceil(n/2), is found one of two ways.  Walked, it is
-taken in its prime-power event form: q_r changes only where a prime power
-enters the window or the base, so the walk does about one small multiply or
-divide per prime power up to n and one per prime power below n/2, and adds
-each run of equal summands at once.  Stepped, the summands q_0..q_{h-1} are
-kept from one n to the next: the window of r+1 at n is the window of r at n-1
-plus {n}, so
-
-    q_{r+1}(n) = q_r(n-1) * g_r / Lambda(r+1),
-
-where g_r = n / gcd(n, lcm(1..r)) is the product of p over the prime powers
-P = p**j dividing n with P > r, and Lambda(k) = p at a prime power k = p**j,
-else 1.  A step shifts the list by one, multiplies the prefix below the
-largest prime power dividing n one slice at a time, divides at the prime-power
-indices below h, and updates the lower sum from the entries that changed.
-The list holds a little over n**2/4 bits (0.285 n**2: 38 KB at n = 1024,
-0.6 MB at 4096, 2.4 MB at 8192), and a term about 0.75 n bits, or 1.8 n bits
-as decimal text.  So a window steps only when it is at least a sixth as wide
-as its stop, where the list is no larger than the window's own terms written
-out; one-term calls and other narrow windows walk every n, and a stepped
-window walks its first n only.  Stepping also stops at n = _STEP_LIMIT
-(8192), and the window walks on from there: a step streams through the whole
-list, and past about n = 9000 it costs more than a walk (4.6 against 3.6 ms
-per n at 12288).  A range of n shares one list of the primes, from the
-package's one bytearray sieve `digits._primes`, and one table of prime
-powers; the prime powers up to each n are a prefix of it, and a stepped
-window factors each n with `digits._spf_window`.
-
-The module keeps nothing between calls: each call walks its own window, and
-the caller holds what it returns: [0, 2049) is about 0.3 MB of integers,
-[0, 513) about 0.03 MB and the one term at n = 19700 about 2 KB.  The summand
-list lives only while its window is computed: stepping raises the tracemalloc
-peak of [0, 1025) from 142 KB to 249 KB and of [0, 2049) from 0.39 MB to
-0.76 MB, and leaves narrow windows as they were (0.88 MB at [19700, 19702)).
+The sum splits at h = ceil(n/2): its upper half depends on n alone and is
+carried from one n to the next, and its lower half is walked in prime-power
+event form or stepped from n - 1 to n, as `_a061297_window` describes.  The
+module keeps nothing between calls: each call walks its own window, and the
+caller holds what it returns.
 
 Parity questions are answered separately via 2-adic valuations without any
 big-integer work.
@@ -61,7 +26,8 @@ from .digits import _primes, _spf_window
 from .parity import binary_weight
 
 #: n from which a window walks every n: past about n = 9000 a step, which
-#: streams through a summand list of several MB, costs more than a walk.
+#: streams through a summand list of several MB, costs more than a walk (4.6
+#: against 3.6 ms per n at 12288).
 _STEP_LIMIT = 8192
 
 
@@ -82,21 +48,22 @@ def _prime_power_divisors(n: int, spf) -> list[int]:
 
 
 def _a061297_window(start: int, stop: int) -> list[int]:
-    """a061297(n) for n = start .. stop - 1 (start >= 0), from one prime-power
-    table of the window.
+    """a061297(n) for n = start .. stop - 1 (start >= 0), from one table of the
+    prime powers below stop, whose primes come from `digits._primes`.
 
     For a prime power P = p**j <= n the window {n-r+1, ..., n} holds a multiple
     of P exactly when n mod P < r, and {1, ..., r} holds P exactly when P <= r.
     So the summand gains a factor p at r = n mod P + 1 and loses it at r = P;
     between events it is constant, and each run of equal summands is added in
     one multiplication.  Where n = -1 (mod P) the gain and the loss fall on the
-    same event and cancel.
+    same event and cancel.  A walk thus does about one small multiply or
+    divide per prime power up to n and one per prime power below n/2.
 
     The walk covers r < h = ceil(n/2) only.  For r >= h the window holds all
-    of (r, n], so the summand is L(n)/L(r), with L(x) = lcm(1..x), and depends
-    on n alone.  With Lambda(k) = p at a prime power k = p**j, else 1 (the
-    `loss` table), that upper half V = sum_{r=h..n} L(n)/L(r) and
-    B = L(n)/L(h) step from n-1 to n as
+    of (r, n], since n - r <= r, so the summand is L(n)/L(r), with
+    L(x) = lcm(1..x), and depends on n alone.  With Lambda(k) = p at a prime
+    power k = p**j, else 1 (the `loss` table), that upper half
+    V = sum_{r=h..n} L(n)/L(r) and B = L(n)/L(h) step from n-1 to n as
         n even: V = Lambda(n)*V + 1,        B = Lambda(n)*B;
         n odd:  V = Lambda(n)*(V - B) + 1,  B = Lambda(n)*B // Lambda(h),
     since h grows by one at odd n and drops the r = h - 1 summand, which is B.
@@ -106,15 +73,19 @@ def _a061297_window(start: int, stop: int) -> list[int]:
 
     A window at least a sixth as wide as its stop walks its first n only, and
     keeps the walk's runs as the list of lower summands q_0..q_{h-1}.  Each
-    later n below _STEP_LIMIT steps that list by
-    q_{r+1}(n) = q_r(n-1) * g_r / Lambda(r+1): a q_0 = 1 goes in front, and at
-    even n, where h does not grow, the last entry leaves the lower half.  g_r
-    is the product of p over the prime powers P = p**j dividing n with P > r,
-    so g_r = n for r < P_1, the least such P, and each P passed drops its p:
-    list index r takes g_{r-1}, one slice at a time up to the largest of them.
-    Each prime-power index P < h is then divided by its p; the product before
-    it is exact.  The lower sum moves by (g - 1) times each slice's old sum and
-    by each quotient's change, so the other summands are not added again.
+    later n below _STEP_LIMIT steps that list, as the window of r+1 at n is
+    the window of r at n-1 plus {n}:
+        q_{r+1}(n) = q_r(n-1) * g_r / Lambda(r+1).
+    A q_0 = 1 goes in front, and at even n, where h does not grow, the last
+    entry leaves the lower half.  g_r = n / gcd(n, L(r)) is the product of p
+    over the prime powers P = p**j dividing n with P > r (n is factored with
+    `digits._spf_window`), so g_r = n for r < P_1, the least such P, and each
+    P passed drops its p: list index r takes g_{r-1}, one slice at a time up
+    to the largest of them.  Each prime-power index P < h is then divided by
+    its p; the product before it is exact.  The lower sum moves by (g - 1)
+    times each slice's old sum and by each quotient's change, so the other
+    summands are not added again.  Narrower windows, one term included, walk
+    every n.
     """
     try:
         loss = [1] * stop  # loss[P] = p at each prime power P = p**j below stop
@@ -138,8 +109,9 @@ def _a061297_window(start: int, stop: int) -> list[int]:
         r = P - 1
     upper += base * (r + 1 - h)
     # n in (start, step_stop) steps from n - 1 to n: only where the list of
-    # about n**2/4 bits is no larger than the window's terms in decimal, so a
-    # narrow window such as one term walks every n, and below _STEP_LIMIT
+    # about n**2/4 bits (0.285 n**2) is no larger than the window's terms in
+    # decimal (1.8 n bits a term), so a narrow window such as one term walks
+    # every n, and below _STEP_LIMIT
     step_stop = min(stop, _STEP_LIMIT) if 6 * (stop - start) >= stop else start
     spf = _spf_window(1, step_stop) if step_stop > start + 1 else None
     gain = [1] * stop  # per walked n: product of the primes gained at each r < h
@@ -204,7 +176,10 @@ def _a061297_window(start: int, stop: int) -> list[int]:
 
 
 def a061297_terms(start: int, stop: int) -> list[int]:
-    """a061297(n) for n = start .. stop - 1, walked by _a061297_window."""
+    """a061297(n) for n = start .. stop - 1, walked by _a061297_window.
+
+    A stop past sys.maxsize is a one-line ValueError, and so below it are
+    tables the allocator refuses outright, as it does near sys.maxsize."""
     if start < 0:
         raise ValueError(f"a061297 is defined for n >= 0, got {start}")
     if stop > sys.maxsize:  # the tables are lists indexed by n

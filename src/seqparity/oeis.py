@@ -3,11 +3,10 @@
 A b-file is plain text with one "<index> <value>" pair per line; '#' lines are
 comments.  The indices run on by one, so a `BFileTable` is the first index and
 the values.  Files, cache entries and fixtures are all read by `read_bfile`,
-whose lines end at "\n" only, as a download's do.  Fixture b-files bundled for
-every generated sequence make all of this work offline; fetching from oeis.org
-is opt-in and falls back to the local cache and then to the fixtures.  The
-network stack is imported only by such a fetch, so an offline caller never
-loads it.
+and a download by `parse_bfile`.  Fixture b-files bundled for every generated
+sequence make all of this work offline; fetching from oeis.org is opt-in
+(`fetch_bfile`).  The network stack is imported only by such a fetch, so an
+offline caller never loads it.
 """
 
 from __future__ import annotations
@@ -79,13 +78,9 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFileTable:
     Lines end at a line feed only, less one trailing carriage return, so a
     comment may hold any other character.  A row is two ASCII decimal integers,
     each `-?[0-9]+`, separated by spaces or tabs.  Text with no rows (empty, or
-    only comments) is not a b-file.
-
-    Text in the canonical form, as `serialize_bfile` writes it, is read at C
-    speed a chunk at a time: after any leading '#' lines, every line is
-    '<index> <value>' with a single space and ends in a line feed, the indices
-    running on by one.  Any other text is read line by line, to the same table
-    or the same error.
+    only comments) is not a b-file.  Canonical text is read by
+    `_parse_canonical` and any other by `_parse_lines`, to the same table or
+    the same error.
     """
     rows = _parse_canonical(text)
     if rows is None:
@@ -95,9 +90,14 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFileTable:
 
 
 def _parse_canonical(text: str) -> tuple[int, list[int]] | None:
-    """The first index and the values of canonical b-file text, or None if
-    the text is not canonical, has a gap, has an index not written as "%d"
-    writes it or has a value int() declines."""
+    """The first index and the values of b-file text in the canonical form
+    that `serialize_bfile` writes, or None for any other text.
+
+    After any leading '#' lines, every line of canonical text is
+    '<index> <value>' with a single space and ends in a line feed, the
+    indices written as "%d" writes them and running on by one, and every
+    value one int() reads.  It is read at C speed, whole lines of about
+    _CHUNK characters at a time."""
     pos = 0
     while text.startswith("#", pos):  # the leading comment block
         pos = text.find("\n", pos) + 1
@@ -174,7 +174,7 @@ def _parse_lines(text: str, sequence_id: str = "") -> BFileTable:
 
 
 def read_bfile(path: Path, sequence_id: str = "") -> BFileTable:
-    """Parse the UTF-8 b-file at a path or package resource; lines end at "\n" only."""
+    """Parse the UTF-8 b-file at a path or package resource, with no newline translation."""
     return parse_bfile(path.read_bytes().decode("utf-8"), sequence_id)
 
 
@@ -186,8 +186,7 @@ def _row_error(lineno: int, raw: str, problem: str) -> BFileFormatError:
 
 def serialize_bfile(table: BFileTable) -> str:
     """Emit one '<index> <value>' line per row, each with a single space and
-    ended by a line feed: the canonical form, which parses back to the table
-    at C speed."""
+    ended by a line feed: the canonical form."""
     n = len(table.values)
     rows = zip(range(table.start, table.start + n), table.values)
     return ("%d %d\n" * n) % tuple(itertools.chain.from_iterable(rows))

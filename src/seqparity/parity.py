@@ -4,11 +4,8 @@ The master sequence m is the alternate merge of the negated Thue-Morse
 sequence with zeros: m(2k) = tbar(k), m(2k+1) = 0.  Every parity relation
 checked elsewhere in this package is stated against m.
 
-Each sequence has a ``*_terms(start, stop)`` window, the values at
-n = start .. stop - 1.  Its per-index scalar is the window's one-term case.
-Every window of t, tbar or m reads t from `_thue_morse_bytes`, which builds
-it at C speed by doubling a block of bytes; A048883's window is written on
-``n.bit_count()``.
+Every window of t, tbar or m, here and in the modules that import it, reads
+t from `_thue_morse_bytes`.
 """
 
 from __future__ import annotations

@@ -131,8 +131,9 @@ def a122248_terms(start: int, stop: int) -> list[int]:
     a(n) = n(n+1)/2 + n - W(n), with W(n) the binary weight summed over
     k = 0..n.  Bit j is set in 2**j of every 2**(j+1) consecutive integers, so
     of the n + 1 integers 0..n, (n+1) // 2**(j+1) whole periods contribute 2**j
-    each and the last, partial period the part of it past 2**j.  The rest of
-    the window accumulates the a113474 terms.
+    each and the last, partial period the part of it past 2**j, so the first
+    term takes O(log start) steps.  The rest of the window accumulates the
+    a113474 terms, one addition each.
     """
     if start < 0:
         raise ValueError(f"a122248 is defined for n >= 0, got {start}")

@@ -28,8 +28,7 @@ from .catalogue import (
 from .parity import master_prefix
 
 MAX_SHIFT = 4
-#: The width of the windows _window_parities generates terms in; their
-#: boundaries fall on multiples of W.
+#: The width of the windows _window_parities generates terms in.
 W = 1 << 14
 MISMATCH_SAMPLE_CAP = 10
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -252,7 +251,11 @@ class VerificationReport(Record):
         return [c.to_record() for c in self.checks]
 
     def to_timings(self) -> str:
-        """Generation and fit/check seconds, one line per sequence, then the total."""
+        """Generation and fit/check seconds, one line per sequence, then the total.
+
+        A sequence derived from its base's windows shows only the time of its
+        derivation, and a shared master word counts in the fit time of the
+        check that builds it, so the total still covers all the work."""
         rows = [(c.sequence_id, c.generate_s, c.fit_s) for c in self.checks]
         rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
         return "".join(
@@ -310,13 +313,20 @@ def verify_sequences(
     sequences: list[SequenceDescriptor], n_max_cheap: int, n_max_heavy: int
 ) -> VerificationReport:
     """Check each given sequence's claim and fit its relation, choosing the
-    range by cost class; every sequence must carry a claimed relation.
+    range by cost class.  Every sequence must carry a claimed relation: one
+    without is a ValueError before any term is generated.
 
-    The sequences walk their windows in lockstep: each window goes to every
-    sequence before the next is taken.  A sequence whose base is listed runs
-    right after it in each round, and derives its window from the base's
-    (_shared_terms); the report keeps the listed order.  Sequences on the same
-    range and reach share one master word.
+    The sequences walk their windows in lockstep, from the top down: each
+    window goes to every sequence before the next is taken.  Each keeps its
+    own parity word, times and error, so one that raises stops and the others
+    go on.  A sequence whose base is listed runs right after it in each
+    round, wherever it is listed, and derives its window from the base's
+    window of that round (_shared_terms); the report keeps the listed order.
+    So a base's windows are generated once for both, at most one base window
+    is held at a time and none past the call, and a sequence whose base is
+    not listed generates its own.  Sequences on the same range and reach
+    share one master word, built by the first check that needs it, so an
+    error in building it is recorded on that check's line.
     """
     for seq in sequences:
         if seq.claimed is None:

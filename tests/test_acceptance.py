@@ -2,7 +2,12 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see one PASS/FAIL line per
 criterion.  Module-level tests elsewhere cover the same ground on smaller
-ranges; this file is the authoritative gate.
+ranges; this file is the authoritative gate.  It pins prefix exactness for
+every generator against the published listings, the fitted-relation
+catalogue, brute-force-versus-closed-form equivalences for the Nim counts,
+exact integrality of every lcm-quotient summand, merge-sort recursion versus
+schedule simulation, cube-freeness and morphism fixed points of the
+underlying words, the halving-chain identities, and the b-file/CLI contracts.
 """
 
 import json

@@ -9,6 +9,7 @@ from oracles import (
     binary_digits,
     reinterpret_binary_by_powers,
     smallest_prime_factor_trial,
+    traced_peak,
 )
 from seqparity import digits
 from seqparity.digits import (
@@ -116,6 +117,27 @@ def test_windows_from_the_first_indices(start):
     for stop in range(start, 40):
         assert spf_listing(start, stop) == spf_by_trial(start, stop)
         assert a092524_terms(start, stop) == [a092524_by_trial(n) for n in range(start, stop)]
+
+
+# odd and even starts, at and beside 2, squares and powers of two
+@pytest.mark.parametrize("start", [1, 2, 3, 4, 5, 9, 24, 25, 1000, 65535, 2**32, 2**32 + 1])
+def test_windows_of_every_width_from_starts_of_either_parity(start):
+    # the sieve's own entries: 0 at n = 1 and at every prime, n = 2 included
+    for stop in [*range(start, start + 70), start + 1025]:
+        expected = [0 if p == n else p for n, p in enumerate(spf_by_trial(start, stop), start)]
+        assert list(digits._spf_window(start, stop)) == expected, (start, stop)
+
+
+def test_the_sieve_holds_no_temporary_half_as_wide_as_its_window():
+    # tracemalloc measured a 197,312-byte peak (Python 3.11; 197,272-197,784
+    # on 3.10 to 3.13) when 2 was struck like the odd primes, with a temporary
+    # half as wide as the 131,072-byte window, and 153,624 bytes with the even
+    # entries filled from a two-entry pattern (153,584-154,096): the window and
+    # the slice for 3.
+    digits._spf_window(1, 2**14 + 1)  # settle what any first call allocates once
+    spf, peak = traced_peak(digits._spf_window, 1, 2**14 + 1)
+    assert len(spf) == 2**14 and spf[2**14 - 1] == 2
+    assert peak < 197_272
 
 
 def primes_by_trial(lo, hi):

@@ -200,3 +200,19 @@ def test_mutable_records_default_to_a_fresh_list_each():
     assert other.checks == [] and seqparity.VerificationReport(64, 32).checks == []
     assert (_check().claimed_mismatch_count, _check().fitted, _check().error) == (0, None, None)
     assert (_check().generate_s, _check().fit_s) == (0.0, 0.0)
+
+
+def test_readme_lists_each_shipped_module_once_on_one_line():
+    # the Modules section ends in its list, so every line from the first
+    # bullet on must be a bullet of its own
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"^## Modules\n(.*?)(?=^## )", text, re.M | re.S)
+    assert match, "README has no Modules section"
+    lines = match.group(1).strip().splitlines()
+    bullets = lines[next(i for i, line in enumerate(lines) if line.startswith("- ")) :]
+    assert all(line.startswith("- ") for line in bullets), bullets
+    named = [re.findall(r"seqparity\.(\w+)", bullet) for bullet in bullets]
+    package = Path(seqparity.__file__).parent
+    shipped = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__"}
+    assert all(len(names) == 1 for names in named), bullets
+    assert sorted(names[0] for names in named) == sorted(shipped)

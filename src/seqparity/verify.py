@@ -12,8 +12,11 @@ stay bounded however far the range reaches.
 
 from __future__ import annotations
 
+import marshal
+import os
 import re
-from collections.abc import Iterator
+import sys
+from collections.abc import Callable, Generator, Iterator
 from functools import partial
 from itertools import islice, zip_longest
 from time import perf_counter
@@ -59,9 +62,9 @@ def _windows(offset: int, n_max: int) -> Iterator[tuple[int, int]]:
         hi = lo
 
 
-def _window_parities(seq: SequenceDescriptor, n_max: int) -> Iterator[int]:
-    """The parities of seq's values at [offset, n_max], one window of
-    _windows at a time: each is packed by _pack and shifted to its place in
+def _window_parities(seq: SequenceDescriptor, n_max: int, start: int = 0) -> Iterator[int]:
+    """The parities of seq's values at [max(offset, start), n_max], one window
+    of _windows at a time: each is packed by _pack and shifted to its place in
     the parity word, and its terms are dropped before the next is generated.
     The windows' bits are disjoint, so their sum is the whole word.  The list
     of parities is dropped as soon as it is bytes, before _pack copies them,
@@ -69,7 +72,7 @@ def _window_parities(seq: SequenceDescriptor, n_max: int) -> Iterator[int]:
     (_shared_terms)."""
     if n_max < seq.offset:
         raise ValueError(f"n_max {n_max} is below the offset of {seq.id}")
-    for lo, hi in _windows(seq.offset, n_max):
+    for lo, hi in _windows(max(seq.offset, start), n_max):
         yield _pack(bytes([v & 1 for v in seq.terms(lo, hi)])) << (lo - seq.offset)
 
 
@@ -283,19 +286,43 @@ def _shared_terms(seq: SequenceDescriptor, windows: dict, start: int, stop: int)
     return seq.terms(start, stop)
 
 
-def _check_steps(seq: SequenceDescriptor, check: SequenceCheck, masters: dict) -> Iterator[None]:
-    """Fill in check for seq, one window of parities per step; after the last
-    window the claim is checked and the relation fitted, against the master
-    word of masters at (n_max, reach), built here if it is not there yet.  An
-    error is recorded in check and ends the steps."""
-    try:
-        word = 0
+def _walk(
+    seq: SequenceDescriptor, check: SequenceCheck, start: int, n_max: int
+) -> Generator[None, None, int]:
+    """seq's parity word on [max(offset, start), n_max], one window per step,
+    each window's seconds added to check.generate_s."""
+    word = 0
+    started = perf_counter()
+    for bits in _window_parities(seq, n_max, start):
+        word |= bits
+        check.generate_s += perf_counter() - started
+        yield
         started = perf_counter()
-        for bits in _window_parities(seq, check.n_max):
-            word |= bits
-            check.generate_s += perf_counter() - started
-            yield
-            started = perf_counter()  # the next window's clock; after the last, the fit's
+    return word
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _check_steps(
+    seq: SequenceDescriptor, check: SequenceCheck, masters: dict, cut: int,
+    lower: Callable | None,
+) -> Iterator[None]:
+    """Fill in check for seq, one window of parities per step: those at and
+    above cut, then, where cut is above the offset, the word below it that
+    lower(seq, check, cut) returns.  After that the claim is checked and the
+    relation fitted, against the master word of masters at (n_max, reach),
+    built here if it is not there yet.  An error is recorded in check and ends
+    the steps."""
+    try:
+        word = yield from _walk(seq, check, cut, check.n_max)
+        if cut > seq.offset:
+            below = yield from lower(seq, check, cut)
+            if check.error is not None:  # the child's error
+                return
+            word |= below
+        started = perf_counter()
         key = check.n_max, _reach(seq.claimed)
         if key not in masters:
             masters[key] = _master_word(*key)
@@ -306,7 +333,132 @@ def _check_steps(seq: SequenceDescriptor, check: SequenceCheck, masters: dict) -
         check.fitted = packed.fit()
         check.fit_s = perf_counter() - started
     except Exception as exc:  # aggregate failures instead of aborting the run
-        check.error = f"{type(exc).__name__}: {exc}"
+        check.error = _error_text(exc)
+
+
+def _split_at(offset: int, n_max: int) -> int:
+    """The multiple of W that cuts the windows of [offset, n_max] into a top
+    and a bottom half; the offset when the range fits one window."""
+    return max((offset // W + n_max // W + 1) // 2 * W, offset)
+
+
+def _spare_cpu() -> bool:
+    """Whether this process may run on two CPUs or more."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+def _may_fork() -> bool:
+    threading = sys.modules.get("threading")  # unloaded, it has started no thread
+    one_thread = threading is None or threading.active_count() == 1
+    return hasattr(os, "fork") and one_thread and _spare_cpu()
+
+
+def _lower_steps(
+    seq: SequenceDescriptor, check: SequenceCheck, cut: int, words: dict, i: int
+) -> Iterator[None]:
+    """The child's steps for seq: the windows below cut, into words[i]."""
+    try:
+        words[i] = yield from _walk(seq, check, seq.offset, cut - 1)
+    except Exception as exc:
+        check.error = _error_text(exc)
+
+
+def _stopped(stop: int) -> list[int]:
+    """The indices the parent has written to the non-blocking stop since the
+    last call.  At EOF the parent is gone, and the child leaves."""
+    data = b""
+    while True:
+        try:
+            chunk = os.read(stop, 1 << 12)
+        except BlockingIOError:
+            return [int(i) for i in data.split()]
+        if not chunk:
+            os._exit(0)
+        data += chunk
+
+
+def _lower_report(
+    halves: list[tuple[int, SequenceDescriptor, SequenceCheck, int]], stop: int
+) -> dict[int, tuple[int, str | None, float]]:
+    """In the child: the word, error and generation seconds of each sequence
+    below its cut, by its index."""
+    os.set_blocking(stop, False)
+    words: dict[int, int] = {}
+    steps = {i: _lower_steps(seq, check, cut, words, i) for i, seq, check, cut in halves}
+    for _ in zip_longest(*steps.values()):
+        for i in _stopped(stop):
+            steps[i].close()
+    return {i: (words.get(i, 0), check.error, check.generate_s) for i, _, check, _ in halves}
+
+
+class _Child:
+    """The forked process that walks the bottom halves of verify_sequences:
+    halves lists (index, sequence, check, cut) for each sequence with one, in
+    the order of the rounds."""
+
+    def __init__(self, halves: list[tuple[int, SequenceDescriptor, SequenceCheck, int]]) -> None:
+        self._pending = {i for i, *_ in halves}
+        self._report: dict | None = None
+        stop_r, self._stop = os.pipe()
+        self._reader, writer = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:  # no child: the parent walks the bottom halves itself
+            self._pid, self._report = None, {}
+        if self._pid == 0:
+            try:
+                os.close(self._stop)
+                os.close(self._reader)
+                data = memoryview(marshal.dumps(_lower_report(halves, stop_r)))
+                while data:
+                    data = data[os.write(writer, data):]
+            finally:
+                os._exit(0)
+        os.close(stop_r)
+        os.close(writer)
+
+    def stop(self, checks: list[SequenceCheck]) -> None:
+        """Tell the child which of its sequences have failed here."""
+        failed = [i for i in self._pending if checks[i].error is not None]
+        if failed:
+            self._pending.difference_update(failed)
+            try:
+                os.write(self._stop, b"".join(b"%d " % i for i in failed))
+            except OSError:  # the child has left
+                pass
+
+    def lower(
+        self, i: int, seq: SequenceDescriptor, check: SequenceCheck, cut: int
+    ) -> Generator[None, None, int]:
+        """seq's word below cut, its error and seconds put in check: the
+        child's, or walked here, one window per step, where it has none."""
+        if self._report is None:
+            self._report = self._read()
+        entry = self._report.get(i)
+        if entry is None:
+            return (yield from _walk(seq, check, seq.offset, cut - 1))
+        word, check.error, seconds = entry
+        check.generate_s += seconds
+        return word
+
+    def _read(self) -> dict:
+        """The child's report, read to EOF; empty if the child left before it was written."""
+        chunks = []
+        while chunk := os.read(self._reader, 1 << 16):
+            chunks.append(chunk)
+        try:
+            return marshal.loads(b"".join(chunks))
+        except (EOFError, ValueError, TypeError):
+            return {}
+
+    def close(self) -> None:
+        """Reap the child, killed first if its report is unread."""
+        os.close(self._stop)
+        os.close(self._reader)
+        if self._pid is not None:
+            if self._report is None:
+                os.kill(self._pid, 9)  # SIGKILL
+            os.waitpid(self._pid, 0)
 
 
 def verify_sequences(
@@ -314,7 +466,10 @@ def verify_sequences(
 ) -> VerificationReport:
     """Check each given sequence's claim and fit its relation, choosing the
     range by cost class.  Every sequence must carry a claimed relation: one
-    without is a ValueError before any term is generated.
+    without is a ValueError before any term is generated, and so is a cheap
+    sequence's range whose master word, which reaches n_max + _reach past it,
+    could not be indexed (sys.maxsize or more; the lcm sums refuse such a
+    range at their top window).
 
     The sequences walk their windows in lockstep, from the top down: each
     window goes to every sequence before the next is taken.  Each keeps its
@@ -327,35 +482,72 @@ def verify_sequences(
     not listed generates its own.  Sequences on the same range and reach
     share one master word, built by the first check that needs it, so an
     error in building it is recorded on that check's line.
+
+    When some range spans two windows or more, and os.fork exists, this
+    process runs one thread and may run on two CPUs or more, one child is
+    forked to walk the bottom half of every sequence's windows (those below
+    _split_at) while this process walks the top half, each in the lockstep
+    above.  Before each round the child drains a stop pipe, through which
+    this process names the sequences that have failed here, and drops them;
+    at EOF there it leaves.  It sends each sequence's word, error and
+    generation seconds through a pipe with marshal and leaves through
+    os._exit, writing nothing to stdout or stderr.  After its top half each
+    sequence takes the child's part, the first one waiting for the report;
+    then the claim is checked and the relation fitted here.  A child's error
+    is a sequence's error only where its top half raised none, so each error
+    is the one a walk in one process meets first.  Generation seconds are
+    summed over both processes.  Where the report is missing or short (the
+    child died, or no child could be forked), this process walks the bottom
+    halves itself.  The child is reaped before the call returns or raises,
+    killed first if its report is unread.
     """
     for seq in sequences:
         if seq.claimed is None:
             raise ValueError(f"no parity relation is catalogued for {seq.id}")
     if n_max_cheap < 32 or n_max_heavy < 32:
         raise ValueError("verification ranges must be at least 32")
+    for seq in sequences:
+        reach = _reach(seq.claimed)
+        if seq.cost_class != BIGNUM_HEAVY and n_max_cheap + reach >= sys.maxsize:
+            raise ValueError(f"verification ranges must keep n_max + {reach} below "
+                             f"sys.maxsize = {sys.maxsize}, got n_max = {n_max_cheap}")
     report = VerificationReport(n_max_cheap=n_max_cheap, n_max_heavy=n_max_heavy)
     windows = dict.fromkeys(seq.base[0] for seq in sequences if seq.base is not None)
     masters: dict[tuple[int, int], int] = {}
-    steps = []
+    walked = []
     for seq in sequences:
         n_max = n_max_heavy if seq.cost_class == BIGNUM_HEAVY else n_max_cheap
-        check = SequenceCheck(
+        report.checks.append(SequenceCheck(
             sequence_id=seq.id, offset=seq.offset, n_max=n_max, claimed=seq.claimed
-        )
-        report.checks.append(check)
+        ))
         if seq.id in windows or seq.base is not None:
             terms = partial(_shared_terms, seq, windows)
             seq = SequenceDescriptor(seq.id, seq.offset, terms, claimed=seq.claimed)
-        steps.append(_check_steps(seq, check, masters))
+        walked.append(seq)
     listed = {seq.id: i for i, seq in enumerate(sequences)}
 
     def run_position(i: int) -> tuple[int, int]:  # right after a listed base
         base = sequences[i].base
         return (listed[base[0]], 1) if base is not None and base[0] in listed else (i, 0)
 
-    ordered = [steps[i] for i in sorted(range(len(steps)), key=run_position)]
-    for _ in zip_longest(*ordered):  # one step of each sequence per round
-        pass
+    order = sorted(range(len(sequences)), key=run_position)
+    cuts = [_split_at(seq.offset, check.n_max) for seq, check in zip(walked, report.checks)]
+    halves = [(i, walked[i], report.checks[i], cuts[i])
+              for i in order if cuts[i] > walked[i].offset]
+    child = _Child(halves) if halves and _may_fork() else None
+    if child is None:
+        cuts = [seq.offset for seq in walked]  # this process walks every window
+    steps = [
+        _check_steps(seq, check, masters, cut, child and partial(child.lower, i))
+        for i, (seq, check, cut) in enumerate(zip(walked, report.checks, cuts))
+    ]
+    try:
+        for _ in zip_longest(*[steps[i] for i in order]):  # one step of each sequence per round
+            if child is not None:
+                child.stop(report.checks)
+    finally:
+        if child is not None:
+            child.close()
     return report
 
 

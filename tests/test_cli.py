@@ -763,6 +763,17 @@ def test_verify_reports_an_lcm_range_past_sys_maxsize_on_its_line(capsys):
                    f"{sys.maxsize}, got n = {10**21}\n")
 
 
+@pytest.mark.parametrize("seq_id", ["A102393", "A092524"])
+def test_verify_refuses_a_range_its_master_word_cannot_index_in_one_line(capsys, seq_id):
+    # refused before any term is generated: A102393's parity word once raised
+    # an OverflowError on its line, and A092524 walked its sieve for a second
+    # before its reach error
+    code, out, err = run_cli(capsys, "verify", seq_id, "--n-max", str(10**20))
+    assert (code, out) == (2, "")
+    assert err == ("error: verification ranges must keep n_max + 4 below "
+                   f"sys.maxsize = {sys.maxsize}, got n_max = {10**20}\n")
+
+
 def test_gen_refuses_an_a092524_window_past_the_sieve_reach_in_one_line(capsys):
     # 2**64 - 59 is prime: its smallest prime factor is past the 2**24 the
     # sieve's walk reaches, which it gets to about a second in

@@ -304,6 +304,7 @@ def test_verify_walks_each_lcm_term_once_across_many_windows(kernel_calls, monke
     # with W at 256, n_max 1500 takes six windows a sequence; walked one sequence
     # after the other they cost 3001 terms, and in lockstep A093431 slices each
     # window from the one A061297 has just walked
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: False)  # record every call here
     sequences = [CATALOGUE["A061297"], CATALOGUE["A093431"]]
     one_window = verify_sequences(sequences, 64, 1500).to_text()
     kernel_calls.clear()
@@ -324,6 +325,7 @@ def test_a_base_listed_after_its_dependent_gives_the_same_report(kernel_calls, m
     # listed first, A093431 still runs right after A061297 in each round and
     # derives its windows from A061297's, so the lcm sums are walked once
     monkeypatch.setattr(verify, "W", 64)
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: False)  # record every call here
     lcm = [CATALOGUE["A061297"], CATALOGUE["A093431"]]
     in_catalogue_order = verify_sequences(lcm, 64, 300).to_text().splitlines()
     assert sum(stop - start for start, stop in kernel_calls) == 301

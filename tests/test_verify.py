@@ -1,6 +1,9 @@
 """Relation checking and fitting against the master sequence."""
 
 import dataclasses
+import os
+import sys
+import threading
 import time
 
 import pytest
@@ -217,6 +220,7 @@ def test_generator_failures_are_aggregated():
 
 def test_sequences_walk_their_windows_in_lockstep_and_a_failure_stops_one(monkeypatch):
     monkeypatch.setattr(verify, "W", 64)
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: False)  # record every call here
     calls = []
 
     def recording(name, fail_at=None):
@@ -332,6 +336,7 @@ def test_parity_word_equals_the_packed_list_of_the_whole_range(seq_id, n_max):
 @pytest.mark.parametrize("n_max", [63, 64, 65, 200])
 def test_every_route_requests_the_same_windows_from_the_top_down(monkeypatch, seq_id, n_max):
     monkeypatch.setattr(verify, "W", 64)
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: False)  # record every call here
     seq = CATALOGUE[seq_id]
     windows = []
 
@@ -500,7 +505,8 @@ def test_a_shared_master_word_counts_in_the_fit_time_of_the_check_that_builds_it
 
 
 @pytest.mark.parametrize("n_max_cheap, bound", [(4096, 305_054), (65536, 1_484_731)])
-def test_verify_all_peaks_below_the_figures_measured_before_windows_were_shared(n_max_cheap, bound):
+def test_verify_all_peaks_below_the_figures_measured_before_windows_were_shared(
+        monkeypatch, n_max_cheap, bound):
     # tracemalloc measured these peaks for verify_all(n_max_cheap, 512) before
     # a dependent derived its windows from its base's (Python 3.11; 277,258 and
     # 1,398,812 on 3.10, 304,630 and 1,484,267 on 3.12 and 3.13).  A base's
@@ -509,8 +515,233 @@ def test_verify_all_peaks_below_the_figures_measured_before_windows_were_shared(
     # (3.11), 266,737 and 1,474,694 (3.12) and 266,737 and 1,474,647 (3.13).
     # On 3.10 they read 266,484 and 1,417,969: the 65536 run holds the 16384
     # A104258 terms and their parity list at once, 19,157 bytes above that
-    # version's earlier peak, still below this bound.
+    # version's earlier peak, still below this bound.  The walk stays in this
+    # process, so that the peak covers all of it.
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: False)
     verify_all(64, 64)  # settle what any first call allocates once
     report, peak = traced_peak(verify_all, n_max_cheap, 512)
     assert report.checks[-1].error is None
     assert peak <= bound
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """W at 64, so that a range of a few hundred spans several windows, and the
+    list of the children verify_sequences forks."""
+    monkeypatch.setattr(verify, "W", 64)
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def in_one_process_and_split(monkeypatch, forks, run):
+    """run() with the windows walked in this process, then split with a child."""
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: False)
+    whole = run()
+    assert forks == []
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: True)
+    split = run()
+    assert len(forks) == 1
+    return whole, split
+
+
+def reported(report):
+    return report.to_text(), report.to_records()
+
+
+LISTS = {
+    **{seq.id: [seq] for seq in parity_catalogue()},
+    "all": parity_catalogue(),
+    **{f"{dep} before {base}": [CATALOGUE[dep], CATALOGUE[base]] for dep, base in PAIRS},
+    **{f"{dep} after {base}": [CATALOGUE[base], CATALOGUE[dep]] for dep, base in PAIRS},
+}
+
+
+@pytest.mark.parametrize("name", LISTS)
+def test_a_split_walk_reports_what_one_process_reports(monkeypatch, forks, name):
+    # at W = 64 the cheap range holds five windows and the heavy range four
+    whole, split = in_one_process_and_split(
+        monkeypatch, forks, lambda: reported(verify_sequences(LISTS[name], 300, 200)))
+    assert split == whole
+
+
+def failing_base(fail_at):
+    """A247303, A029886's base, raising at each window that starts in fail_at."""
+
+    def terms(start, stop):
+        if start in fail_at:
+            raise RuntimeError(f"boom at {start}")
+        return CATALOGUE["A247303"].terms(start, stop)
+
+    return dataclasses.replace(CATALOGUE["A247303"], terms=terms)
+
+
+# at W = 64 the windows of [0, 300] start at 256, 192 and 128 in this process
+# and at 64 and 0 in the child
+@pytest.mark.parametrize("fail_at, error", [
+    ({192}, "RuntimeError: boom at 192"),
+    ({64}, "RuntimeError: boom at 64"),
+    ({128, 0}, "RuntimeError: boom at 128"),
+    ({192, 64}, "RuntimeError: boom at 192"),
+])
+def test_a_failure_in_either_half_is_the_error_one_process_meets_first(
+        monkeypatch, forks, fail_at, error):
+    sequences = [CATALOGUE["A029886"], failing_base(fail_at), CATALOGUE["A102393"]]
+    whole, split = in_one_process_and_split(
+        monkeypatch, forks, lambda: reported(verify_sequences(sequences, 300, 200)))
+    assert split == whole
+    assert whole[0].splitlines()[1] == f"A247303  error: {error}"
+    assert whole[0].count("error") == 1
+
+
+def test_a_child_that_dies_changes_nothing_in_the_report(monkeypatch, forks):
+    parent = os.getpid()
+
+    def terms(start, stop):
+        if os.getpid() != parent:
+            os._exit(3)
+        return CATALOGUE["A102393"].terms(start, stop)
+
+    sequences = [dataclasses.replace(CATALOGUE["A102393"], terms=terms), CATALOGUE["A003071"]]
+    whole, split = in_one_process_and_split(
+        monkeypatch, forks, lambda: reported(verify_sequences(sequences, 300, 200)))
+    assert split == whole
+    assert "error" not in whole[0]
+
+
+def test_generation_seconds_are_summed_over_both_processes(monkeypatch, forks):
+    parent = os.getpid()
+
+    def terms(start, stop):
+        if os.getpid() != parent:
+            time.sleep(0.05)
+        return CATALOGUE["A102393"].terms(start, stop)
+
+    sequences = [dataclasses.replace(CATALOGUE["A102393"], terms=terms)]
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: True)
+    report = verify_sequences(sequences, 300, 200)
+    assert len(forks) == 1
+    # the child walks the windows at 64 and 0
+    assert report.checks[0].generate_s >= 0.1
+    assert report.checks[0].fit_s < 0.05
+
+
+def test_the_child_is_reaped_after_a_return_and_after_an_interrupt(monkeypatch, forks):
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: True)
+    verify_sequences([CATALOGUE["A102393"]], 300, 200)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    parent = os.getpid()
+
+    def terms(start, stop):
+        if os.getpid() != parent:  # a child still at work when this process raises
+            time.sleep(60)
+        elif start == 192:  # in this process's half
+            raise KeyboardInterrupt
+        return CATALOGUE["A102393"].terms(start, stop)
+
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        verify_sequences([dataclasses.replace(CATALOGUE["A102393"], terms=terms)], 300, 200)
+    assert time.monotonic() - started < 30  # the child is killed, not waited for
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_child_drops_a_sequence_that_has_failed_in_the_parent(monkeypatch, forks, tmp_path):
+    parent = os.getpid()
+    failed = tmp_path / "failed"
+
+    def bad(start, stop):
+        if os.getpid() == parent:
+            failed.touch()
+            raise RuntimeError("boom")
+        with open(tmp_path / "walked-in-child", "a") as out:
+            out.write(f"{start}\n")
+        return [0] * (stop - start)
+
+    def slow(start, stop):
+        if os.getpid() != parent and start == 192:  # the child's first round
+            deadline = time.monotonic() + 10
+            while not failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)  # for the stop this process sends after its round
+        return CATALOGUE["A102393"].terms(start, stop)
+
+    claim = ParityRelation(0, False)
+    sequences = [SequenceDescriptor("bad", 0, bad, claimed=claim),
+                 SequenceDescriptor("slow", 0, slow, claimed=claim)]
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: True)
+    # eight windows: 448 down to 256 in this process, 192 down to 0 in the child
+    report = verify_sequences(sequences, 511, 511)
+    assert len(forks) == 1
+    assert [check.error for check in report.checks] == ["RuntimeError: boom", None]
+    assert (tmp_path / "walked-in-child").read_text() == "192\n"
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    monkeypatch.setattr(verify, "W", 64)
+
+    def refused():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refused)
+
+
+def test_nothing_forks_with_one_cpu(monkeypatch, no_fork):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert verify_sequences(parity_catalogue(), 300, 200).all_fitted()
+
+
+def test_nothing_forks_for_ranges_of_one_window(monkeypatch, no_fork):
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: True)
+    assert verify_sequences(parity_catalogue(), 63, 63).all_fitted()
+
+
+def test_nothing_forks_with_a_second_live_thread(monkeypatch, no_fork):
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: True)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        report = verify_sequences(parity_catalogue(), 300, 200)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert report.all_fitted()
+
+
+@pytest.mark.parametrize("shift", [0, -6])
+def test_a_cheap_range_the_master_word_cannot_index_is_refused_before_any_work(
+        monkeypatch, no_fork, shift):
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: True)
+    reach = max(MAX_SHIFT, -shift)
+    calls = []
+
+    def terms(start, stop):
+        calls.append(start)
+        raise RuntimeError("generated")
+
+    seq = SequenceDescriptor("far", 0, terms, claimed=ParityRelation(shift, False))
+    refused = (rf"^verification ranges must keep n_max \+ {reach} below "
+               rf"sys.maxsize = {sys.maxsize}, got n_max = {sys.maxsize - reach}$")
+    with pytest.raises(ValueError, match=refused):
+        verify_sequences([seq], sys.maxsize - reach, 64)
+    assert calls == []
+    # one below the limit is walked, from its top window down
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: False)
+    report = verify_sequences([seq], sys.maxsize - reach - 1, 64)
+    assert report.checks[0].error == "RuntimeError: generated"
+    assert calls == [(sys.maxsize - reach - 1) // 64 * 64]

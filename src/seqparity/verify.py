@@ -16,7 +16,7 @@ import marshal
 import os
 import re
 import sys
-from collections.abc import Callable, Generator, Iterator
+from collections.abc import Callable, Iterator
 from functools import partial
 from itertools import islice, zip_longest
 from time import perf_counter
@@ -286,42 +286,50 @@ def _shared_terms(seq: SequenceDescriptor, windows: dict, start: int, stop: int)
     return seq.terms(start, stop)
 
 
-def _walk(
-    seq: SequenceDescriptor, check: SequenceCheck, start: int, n_max: int
-) -> Generator[None, None, int]:
-    """seq's parity word on [max(offset, start), n_max], one window per step,
-    each window's seconds added to check.generate_s."""
-    word = 0
-    started = perf_counter()
-    for bits in _window_parities(seq, n_max, start):
-        word |= bits
-        check.generate_s += perf_counter() - started
-        yield
-        started = perf_counter()
-    return word
-
-
 def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _check_steps(
-    seq: SequenceDescriptor, check: SequenceCheck, masters: dict, cut: int,
-    lower: Callable | None,
-) -> Iterator[None]:
-    """Fill in check for seq, one window of parities per step: those at and
-    above cut, then, where cut is above the offset, the word below it that
-    lower(seq, check, cut) returns.  After that the claim is checked and the
-    relation fitted, against the master word of masters at (n_max, reach),
-    built here if it is not there yet.  An error is recorded in check and ends
-    the steps."""
+def _lockstep(
+    parts: list[tuple[int, SequenceDescriptor, int, int]], checks: list[SequenceCheck],
+    words: list[int], failed: Callable[[int], None] | None = None,
+    stopped: Callable[[], list[int]] = list,
+) -> None:
+    """Walk each part (i, seq, start, n_max), seq's windows of
+    [max(offset, start), n_max], in lockstep from the top down: each part
+    takes one window per round, in the order given, before the next round.
+    Each ors its parity bits into words[i] and adds its windows' seconds to
+    checks[i].generate_s; one that raises records its error in checks[i], is
+    passed to failed and stops while the others go on.  After each round the
+    parts whose indices stopped() returns stop; other indices are ignored."""
+
+    def step(i: int, seq: SequenceDescriptor, start: int, n_max: int) -> Iterator[None]:
+        try:
+            started = perf_counter()
+            for bits in _window_parities(seq, n_max, start):
+                words[i] |= bits
+                checks[i].generate_s += perf_counter() - started
+                yield
+                started = perf_counter()
+        except Exception as exc:  # aggregate failures instead of aborting the run
+            checks[i].error = _error_text(exc)
+            if failed is not None:
+                failed(i)
+
+    steps = {part[0]: step(*part) for part in parts}
+    for _ in zip_longest(*steps.values()):
+        for i in stopped():
+            if i in steps:
+                steps[i].close()
+
+
+def _check(seq: SequenceDescriptor, check: SequenceCheck, word: int, masters: dict) -> None:
+    """Check seq's claim and fit its relation on its parity word, unless its
+    walk failed, against the master word of masters at (n_max, reach), built
+    here if it is not there yet.  An error is recorded in check."""
+    if check.error is not None:
+        return
     try:
-        word = yield from _walk(seq, check, cut, check.n_max)
-        if cut > seq.offset:
-            below = yield from lower(seq, check, cut)
-            if check.error is not None:  # the child's error
-                return
-            word |= below
         started = perf_counter()
         key = check.n_max, _reach(seq.claimed)
         if key not in masters:
@@ -332,7 +340,7 @@ def _check_steps(
         check.claimed_mismatch_sample = _set_bits(bad, MISMATCH_SAMPLE_CAP)
         check.fitted = packed.fit()
         check.fit_s = perf_counter() - started
-    except Exception as exc:  # aggregate failures instead of aborting the run
+    except Exception as exc:
         check.error = _error_text(exc)
 
 
@@ -353,16 +361,6 @@ def _may_fork() -> bool:
     return hasattr(os, "fork") and one_thread and _spare_cpu()
 
 
-def _lower_steps(
-    seq: SequenceDescriptor, check: SequenceCheck, cut: int, words: dict, i: int
-) -> Iterator[None]:
-    """The child's steps for seq: the windows below cut, into words[i]."""
-    try:
-        words[i] = yield from _walk(seq, check, seq.offset, cut - 1)
-    except Exception as exc:
-        check.error = _error_text(exc)
-
-
 def _stopped(stop: int) -> list[int]:
     """The indices the parent has written to the non-blocking stop since the
     last call.  At EOF the parent is gone, and the child leaves."""
@@ -377,39 +375,30 @@ def _stopped(stop: int) -> list[int]:
         data += chunk
 
 
-def _lower_report(
-    halves: list[tuple[int, SequenceDescriptor, SequenceCheck, int]], stop: int
-) -> dict[int, tuple[int, str | None, float]]:
-    """In the child: the word, error and generation seconds of each sequence
-    below its cut, by its index."""
-    os.set_blocking(stop, False)
-    words: dict[int, int] = {}
-    steps = {i: _lower_steps(seq, check, cut, words, i) for i, seq, check, cut in halves}
-    for _ in zip_longest(*steps.values()):
-        for i in _stopped(stop):
-            steps[i].close()
-    return {i: (words.get(i, 0), check.error, check.generate_s) for i, _, check, _ in halves}
-
-
 class _Child:
-    """The forked process that walks the bottom halves of verify_sequences:
-    halves lists (index, sequence, check, cut) for each sequence with one, in
-    the order of the rounds."""
+    """The forked process that walks the bottom halves of verify_sequences,
+    the _lockstep parts given, and sends each one's word, error and generation
+    seconds by its index."""
 
-    def __init__(self, halves: list[tuple[int, SequenceDescriptor, SequenceCheck, int]]) -> None:
-        self._pending = {i for i, *_ in halves}
-        self._report: dict | None = None
+    def __init__(
+        self, bottoms: list[tuple[int, SequenceDescriptor, int, int]], checks: list[SequenceCheck]
+    ) -> None:
         stop_r, self._stop = os.pipe()
         self._reader, writer = os.pipe()
         try:
             self._pid = os.fork()
-        except OSError:  # no child: the parent walks the bottom halves itself
-            self._pid, self._report = None, {}
+        except OSError:  # no child: its report reads empty
+            self._pid = None
         if self._pid == 0:
             try:
                 os.close(self._stop)
                 os.close(self._reader)
-                data = memoryview(marshal.dumps(_lower_report(halves, stop_r)))
+                os.set_blocking(stop_r, False)
+                words = [0] * len(checks)
+                _lockstep(bottoms, checks, words, stopped=partial(_stopped, stop_r))
+                report = {i: (words[i], checks[i].error, checks[i].generate_s)
+                          for i, *_ in bottoms}
+                data = memoryview(marshal.dumps(report))
                 while data:
                     data = data[os.write(writer, data):]
             finally:
@@ -417,31 +406,14 @@ class _Child:
         os.close(stop_r)
         os.close(writer)
 
-    def stop(self, checks: list[SequenceCheck]) -> None:
-        """Tell the child which of its sequences have failed here."""
-        failed = [i for i in self._pending if checks[i].error is not None]
-        if failed:
-            self._pending.difference_update(failed)
-            try:
-                os.write(self._stop, b"".join(b"%d " % i for i in failed))
-            except OSError:  # the child has left
-                pass
+    def stop(self, i: int) -> None:
+        """Tell the child that sequence i has failed here."""
+        try:
+            os.write(self._stop, b"%d " % i)
+        except OSError:  # the child has left
+            pass
 
-    def lower(
-        self, i: int, seq: SequenceDescriptor, check: SequenceCheck, cut: int
-    ) -> Generator[None, None, int]:
-        """seq's word below cut, its error and seconds put in check: the
-        child's, or walked here, one window per step, where it has none."""
-        if self._report is None:
-            self._report = self._read()
-        entry = self._report.get(i)
-        if entry is None:
-            return (yield from _walk(seq, check, seq.offset, cut - 1))
-        word, check.error, seconds = entry
-        check.generate_s += seconds
-        return word
-
-    def _read(self) -> dict:
+    def report(self) -> dict[int, tuple[int, str | None, float]]:
         """The child's report, read to EOF; empty if the child left before it was written."""
         chunks = []
         while chunk := os.read(self._reader, 1 << 16):
@@ -452,12 +424,11 @@ class _Child:
             return {}
 
     def close(self) -> None:
-        """Reap the child, killed first if its report is unread."""
+        """Reap the child, killed first in case it is still at work."""
         os.close(self._stop)
         os.close(self._reader)
         if self._pid is not None:
-            if self._report is None:
-                os.kill(self._pid, 9)  # SIGKILL
+            os.kill(self._pid, 9)  # SIGKILL
             os.waitpid(self._pid, 0)
 
 
@@ -471,35 +442,37 @@ def verify_sequences(
     could not be indexed (sys.maxsize or more; the lcm sums refuse such a
     range at their top window).
 
-    The sequences walk their windows in lockstep, from the top down: each
-    window goes to every sequence before the next is taken.  Each keeps its
-    own parity word, times and error, so one that raises stops and the others
-    go on.  A sequence whose base is listed runs right after it in each
-    round, wherever it is listed, and derives its window from the base's
+    The sequences walk their windows in lockstep (_lockstep), from the top
+    down: each window goes to every sequence before the next is taken.  Each
+    keeps its own parity word, times and error, so one that raises stops and
+    the others go on.  A sequence whose base is listed runs right after it in
+    each round, wherever it is listed, and derives its window from the base's
     window of that round (_shared_terms); the report keeps the listed order.
     So a base's windows are generated once for both, at most one base window
     is held at a time and none past the call, and a sequence whose base is
-    not listed generates its own.  Sequences on the same range and reach
-    share one master word, built by the first check that needs it, so an
-    error in building it is recorded on that check's line.
+    not listed generates its own.
 
     When some range spans two windows or more, and os.fork exists, this
     process runs one thread and may run on two CPUs or more, one child is
     forked to walk the bottom half of every sequence's windows (those below
-    _split_at) while this process walks the top half, each in the lockstep
-    above.  Before each round the child drains a stop pipe, through which
-    this process names the sequences that have failed here, and drops them;
-    at EOF there it leaves.  It sends each sequence's word, error and
-    generation seconds through a pipe with marshal and leaves through
-    os._exit, writing nothing to stdout or stderr.  After its top half each
-    sequence takes the child's part, the first one waiting for the report;
-    then the claim is checked and the relation fitted here.  A child's error
+    _split_at) in its own lockstep.  The order is then: this process walks
+    every top half; it reads the child's report once; it walks itself any
+    bottom half the report lacks (the child died, or no child could be
+    forked); then it checks each claim and fits each relation.  A sequence
+    that fails in a top half is named to the child through a stop pipe,
+    which the child drains after each round, dropping the named walks it
+    has; at EOF there it leaves.  The child sends each bottom half's word,
+    error and generation seconds through a pipe with marshal and leaves
+    through os._exit, writing nothing to stdout or stderr.  A child's error
     is a sequence's error only where its top half raised none, so each error
     is the one a walk in one process meets first.  Generation seconds are
-    summed over both processes.  Where the report is missing or short (the
-    child died, or no child could be forked), this process walks the bottom
-    halves itself.  The child is reaped before the call returns or raises,
-    killed first if its report is unread.
+    summed over both processes.  The child is reaped before the call returns
+    or raises, killed first in case it is still at work.
+
+    After every walk has ended the claims are checked and the relations
+    fitted, in the listed order.  Sequences on the same range and reach share
+    one master word, built by the first check that needs it, so an error in
+    building it is recorded on that check's line.
     """
     for seq in sequences:
         if seq.claimed is None:
@@ -531,23 +504,30 @@ def verify_sequences(
         return (listed[base[0]], 1) if base is not None and base[0] in listed else (i, 0)
 
     order = sorted(range(len(sequences)), key=run_position)
-    cuts = [_split_at(seq.offset, check.n_max) for seq, check in zip(walked, report.checks)]
-    halves = [(i, walked[i], report.checks[i], cuts[i])
-              for i in order if cuts[i] > walked[i].offset]
-    child = _Child(halves) if halves and _may_fork() else None
-    if child is None:
-        cuts = [seq.offset for seq in walked]  # this process walks every window
-    steps = [
-        _check_steps(seq, check, masters, cut, child and partial(child.lower, i))
-        for i, (seq, check, cut) in enumerate(zip(walked, report.checks, cuts))
-    ]
+    checks = report.checks
+    cuts = [_split_at(seq.offset, check.n_max) for seq, check in zip(walked, checks)]
+    bottoms = [(i, walked[i], walked[i].offset, cuts[i] - 1)
+               for i in order if cuts[i] > walked[i].offset]
+    child = _Child(bottoms, checks) if bottoms and _may_fork() else None
+    if child is None:  # this process walks every window, in one lockstep
+        cuts, bottoms = [seq.offset for seq in walked], []
+    words = [0] * len(walked)
     try:
-        for _ in zip_longest(*[steps[i] for i in order]):  # one step of each sequence per round
-            if child is not None:
-                child.stop(report.checks)
+        tops = [(i, walked[i], cuts[i], checks[i].n_max) for i in order]
+        _lockstep(tops, checks, words, child and child.stop)
+        lower = child.report() if child else {}
     finally:
         if child is not None:
             child.close()
+    for i, (word, error, seconds) in lower.items():
+        if checks[i].error is None:  # else the top half's error came first
+            words[i] |= word
+            checks[i].error = error
+            checks[i].generate_s += seconds
+    missing = [part for part in bottoms if part[0] not in lower and checks[part[0]].error is None]
+    _lockstep(missing, checks, words)
+    for seq, check, word in zip(walked, checks, words):
+        _check(seq, check, word, masters)
     return report
 
 

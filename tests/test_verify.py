@@ -1,10 +1,13 @@
 """Relation checking and fitting against the master sequence."""
 
 import dataclasses
+import errno
+import marshal
 import os
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 from oracles import traced_peak
@@ -675,7 +678,7 @@ def test_the_child_drops_a_sequence_that_has_failed_in_the_parent(monkeypatch, f
             deadline = time.monotonic() + 10
             while not failed.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
-            time.sleep(0.2)  # for the stop this process sends after its round
+            time.sleep(0.2)  # for the stop this process sends at the failure
         return CATALOGUE["A102393"].terms(start, stop)
 
     claim = ParityRelation(0, False)
@@ -687,6 +690,83 @@ def test_the_child_drops_a_sequence_that_has_failed_in_the_parent(monkeypatch, f
     assert len(forks) == 1
     assert [check.error for check in report.checks] == ["RuntimeError: boom", None]
     assert (tmp_path / "walked-in-child").read_text() == "192\n"
+
+
+def in_the_parent(events, seq_id, child_delay):
+    """seq_id's catalogue entry, its windows in this process logged to events
+    as (id, start) and each in a child slowed by child_delay seconds."""
+    parent = os.getpid()
+
+    def terms(start, stop):
+        if os.getpid() == parent:
+            events.append((seq_id, start))
+        else:
+            time.sleep(child_delay)
+        return CATALOGUE[seq_id].terms(start, stop)
+
+    return dataclasses.replace(CATALOGUE[seq_id], terms=terms)
+
+
+def test_the_parent_walks_every_top_half_before_it_reads_the_childs_report(monkeypatch, forks):
+    events = []
+
+    def loads(data):
+        events.append("report")
+        return marshal.loads(data)
+
+    monkeypatch.setattr(verify, "marshal", SimpleNamespace(dumps=marshal.dumps, loads=loads))
+    # at W = 64 the heavy range [0, 150] has two top windows, the cheap [0, 300] three
+    sequences = [in_the_parent(events, "A061297", 0.2), in_the_parent(events, "A102393", 0.2)]
+
+    def run():
+        events.clear()
+        return reported(verify_sequences(sequences, 300, 150))
+
+    whole, split = in_one_process_and_split(monkeypatch, forks, run)
+    assert split == whole
+    assert events.index(("A102393", 128)) < events.index("report")
+
+
+def test_the_child_ignores_a_failure_it_has_no_half_of(monkeypatch, forks):
+    events = []
+
+    def broken(start, stop):
+        raise RuntimeError("boom")
+
+    # the heavy range [0, 40] is one window, walked and failed in this process
+    # while the child, slowed, walks its first round of the cheap sequences
+    one_window = dataclasses.replace(CATALOGUE["A061297"], terms=broken)
+    sequences = [one_window, in_the_parent(events, "A102393", 0.1),
+                 in_the_parent(events, "A003071", 0.1)]
+
+    def run():
+        events.clear()
+        return reported(verify_sequences(sequences, 300, 40))
+
+    whole, split = in_one_process_and_split(monkeypatch, forks, run)
+    assert split == whole
+    assert whole[0].splitlines()[0] == "A061297  error: RuntimeError: boom"
+    # the cut of [0, 300] and [1, 300] is 128: the child's report was used
+    assert events and all(start >= 128 for _, start in events)
+
+
+def test_a_fork_that_fails_gives_the_one_process_report_and_closes_its_pipes(monkeypatch):
+    monkeypatch.setattr(verify, "W", 64)
+    sequences = [CATALOGUE["A029886"], failing_base({192}), CATALOGUE["A102393"]]
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: False)
+    whole = reported(verify_sequences(sequences, 300, 200))
+    attempts = []
+
+    def refused():
+        attempts.append(1)
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: True)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    assert reported(verify_sequences(sequences, 300, 200)) == whole
+    assert attempts == [1]
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 @pytest.fixture

@@ -8,6 +8,10 @@ report shows both; it never substitutes the fit for the claim.
 A sequence's terms are generated one window of at most W indices at a time
 and only their parities are kept, one bit per term, so the terms held at once
 stay bounded however far the range reaches.
+
+With a spare CPU a range may be cut in two and its bottom half walked by a
+forked child: a cheap range at a window boundary, and a big-integer range of
+_HEAVY_SPLIT_MIN terms or more where its lcm work halves (_split_at).
 """
 
 from __future__ import annotations
@@ -33,6 +37,11 @@ from .parity import master_prefix
 MAX_SHIFT = 4
 #: The width of the windows _window_parities generates terms in.
 W = 1 << 14
+#: The heavy n_max from which _split_at cuts a range where its work halves:
+#: a standalone fork-and-pipe probe of the lcm walk (2 vCPUs, medians of 15
+#: alternated runs) read 16.8 -> 12.8 ms at 513 terms, but 5.8 -> 7.4 ms at
+#: 257 and 2.2 -> 4.8 ms at 129.
+_HEAVY_SPLIT_MIN = 512
 MISMATCH_SAMPLE_CAP = 10
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -344,10 +353,26 @@ def _check(seq: SequenceDescriptor, check: SequenceCheck, word: int, masters: di
         check.error = _error_text(exc)
 
 
-def _split_at(offset: int, n_max: int) -> int:
-    """The multiple of W that cuts the windows of [offset, n_max] into a top
-    and a bottom half; the offset when the range fits one window."""
-    return max((offset // W + n_max // W + 1) // 2 * W, offset)
+def _split_at(seq: SequenceDescriptor, n_max: int) -> int:
+    """Where seq's range [offset, n_max] is cut into a top and a bottom half;
+    the offset where it is not cut.
+
+    A BIGNUM_HEAVY range of _HEAVY_SPLIT_MIN terms or more is cut where the
+    halves cost the same to walk.  A step of the lcm sums at n costs about
+    n**2 (n/2 summands of about n bits), and the top half also walks its
+    first n in full, so they balance at about 0.7 (n_max + 1): [0, 717) and
+    [717, 1025) took 34.0 and 33.7 ms on a 2-vCPU VM, and the same cut
+    balanced 513 and 2049.  The cut depends on n_max alone, so A093431 is
+    cut where its base A061297 is and still derives every window, and the
+    range above it stays at least a sixth of its stop wide, so that its
+    window steps through n (lcm_sums._a061297_window).  Any other range is cut at the multiple of W
+    that halves its windows, so a range of one window is not cut: a heavy
+    range below the floor is one window at the default W, and there a fork
+    and its pipes cost more than the half they save.
+    """
+    if seq.cost_class == BIGNUM_HEAVY and n_max >= _HEAVY_SPLIT_MIN:
+        return max((n_max + 1) * 7 // 10, seq.offset)
+    return max((seq.offset // W + n_max // W + 1) // 2 * W, seq.offset)
 
 
 def _spare_cpu() -> bool:
@@ -378,17 +403,22 @@ def _stopped(stop: int) -> list[int]:
 class _Child:
     """The forked process that walks the bottom halves of verify_sequences,
     the _lockstep parts given, and sends each one's word, error and generation
-    seconds by its index."""
+    seconds by its index.  Where a pipe or the fork is refused, the OSError
+    is raised with no descriptor left open."""
 
     def __init__(
         self, bottoms: list[tuple[int, SequenceDescriptor, int, int]], checks: list[SequenceCheck]
     ) -> None:
-        stop_r, self._stop = os.pipe()
-        self._reader, writer = os.pipe()
+        fds: list[int] = []
         try:
+            fds += os.pipe()
+            fds += os.pipe()
             self._pid = os.fork()
-        except OSError:  # no child: its report reads empty
-            self._pid = None
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        stop_r, self._stop, self._reader, writer = fds
         if self._pid == 0:
             try:
                 os.close(self._stop)
@@ -427,9 +457,8 @@ class _Child:
         """Reap the child, killed first in case it is still at work."""
         os.close(self._stop)
         os.close(self._reader)
-        if self._pid is not None:
-            os.kill(self._pid, 9)  # SIGKILL
-            os.waitpid(self._pid, 0)
+        os.kill(self._pid, 9)  # SIGKILL
+        os.waitpid(self._pid, 0)
 
 
 def verify_sequences(
@@ -452,16 +481,18 @@ def verify_sequences(
     is held at a time and none past the call, and a sequence whose base is
     not listed generates its own.
 
-    When some range spans two windows or more, and os.fork exists, this
-    process runs one thread and may run on two CPUs or more, one child is
-    forked to walk the bottom half of every sequence's windows (those below
-    _split_at) in its own lockstep.  The order is then: this process walks
-    every top half; it reads the child's report once; it walks itself any
-    bottom half the report lacks (the child died, or no child could be
-    forked); then it checks each claim and fits each relation.  A sequence
-    that fails in a top half is named to the child through a stop pipe,
-    which the child drains after each round, dropping the named walks it
-    has; at EOF there it leaves.  The child sends each bottom half's word,
+    When _split_at cuts some range (a cheap range of two windows or more,
+    or a heavy range of _HEAVY_SPLIT_MIN terms or more, where its lcm work
+    halves), and os.fork exists, this process runs one thread and may run
+    on two CPUs or more, one child is forked to walk the bottom half of
+    every cut range (the windows of [offset, cut)) in its own lockstep.
+    Where a pipe or the fork is refused, this process walks every range in
+    one lockstep.  Otherwise the order is: this process walks every top
+    half; it reads the child's report once; it walks itself any bottom half
+    the report lacks (the child died); then it checks each claim and fits
+    each relation.  A sequence that fails in a top half is named to the
+    child through a stop pipe, which the child drains after each round,
+    dropping the named walks it has; at EOF there it leaves.  The child sends each bottom half's word,
     error and generation seconds through a pipe with marshal and leaves
     through os._exit, writing nothing to stdout or stderr.  A child's error
     is a sequence's error only where its top half raised none, so each error
@@ -505,10 +536,15 @@ def verify_sequences(
 
     order = sorted(range(len(sequences)), key=run_position)
     checks = report.checks
-    cuts = [_split_at(seq.offset, check.n_max) for seq, check in zip(walked, checks)]
+    cuts = [_split_at(seq, check.n_max) for seq, check in zip(sequences, checks)]
     bottoms = [(i, walked[i], walked[i].offset, cuts[i] - 1)
                for i in order if cuts[i] > walked[i].offset]
-    child = _Child(bottoms, checks) if bottoms and _may_fork() else None
+    child = None
+    if bottoms and _may_fork():
+        try:
+            child = _Child(bottoms, checks)
+        except OSError:  # no pipe or no child
+            pass
     if child is None:  # this process walks every window, in one lockstep
         cuts, bottoms = [seq.offset for seq in walked], []
     words = [0] * len(walked)

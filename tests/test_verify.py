@@ -10,6 +10,8 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import traced_peak
 
 from seqparity.catalogue import (
@@ -568,12 +570,81 @@ LISTS = {
 }
 
 
-@pytest.mark.parametrize("name", LISTS)
-def test_a_split_walk_reports_what_one_process_reports(monkeypatch, forks, name):
+# (W, n_max_heavy) of heavy ranges cut where their work halves: in their one
+# window at the default W, and at W = 256 across five windows, three below the cut
+HEAVY_CUTS = [(W, 512), (W, 1024), (256, 1024)]
+
+
+@pytest.mark.parametrize("name, w, n_max_heavy", [
     # at W = 64 the cheap range holds five windows and the heavy range four
+    *(pytest.param(name, 64, 200, id=name) for name in LISTS),
+    *(pytest.param(name, w, n_max_heavy, id=f"{name} W={w} heavy={n_max_heavy}")
+      for name, sequences in LISTS.items()
+      if any(seq.cost_class == BIGNUM_HEAVY for seq in sequences)
+      for w, n_max_heavy in HEAVY_CUTS),
+])
+def test_a_split_walk_reports_what_one_process_reports(
+        monkeypatch, forks, name, w, n_max_heavy):
+    monkeypatch.setattr(verify, "W", w)
     whole, split = in_one_process_and_split(
-        monkeypatch, forks, lambda: reported(verify_sequences(LISTS[name], 300, 200)))
+        monkeypatch, forks, lambda: reported(verify_sequences(LISTS[name], 300, n_max_heavy)))
     assert split == whole
+
+
+class LoggedCalls:
+    """A list-like log for recorded() that appends each call to a file with
+    the pid of the process that made it, so a child's calls are kept too."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def append(self, call):
+        with open(self.path, "a") as out:
+            out.write(" ".join(map(str, (os.getpid(), *call))) + "\n")
+
+    def indices(self, in_parent, kind, seq_id):
+        """The n of each call of kind for seq_id, in this process or not."""
+        parent = str(os.getpid())
+        return sorted(
+            n
+            for pid, k, sid, start, stop in map(str.split, self.path.read_text().splitlines())
+            if (pid == parent) == in_parent and (k, sid) == (kind, seq_id)
+            for n in range(int(start), int(stop))
+        )
+
+
+@pytest.mark.parametrize("w, n_max_heavy", HEAVY_CUTS)
+def test_a_cut_heavy_range_is_walked_once_per_half_and_its_dependent_derives_it(
+        monkeypatch, forks, tmp_path, w, n_max_heavy):
+    monkeypatch.setattr(verify, "W", w)
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: True)
+    calls = LoggedCalls(tmp_path / "calls")
+    sequences = [recorded(calls, CATALOGUE[seq_id]) for seq_id in ("A061297", "A093431")]
+    report = verify_sequences(sequences, 300, n_max_heavy)
+    assert len(forks) == 1
+    assert report.all_fitted()
+    cut = (n_max_heavy + 1) * 7 // 10
+    # each n of the base's range is walked once: the top half here, the bottom
+    # half in the child
+    assert calls.indices(True, "terms", "A061297") == list(range(cut, n_max_heavy + 1))
+    assert calls.indices(False, "terms", "A061297") == list(range(0, cut))
+    # and the dependent derives all of its range from those windows
+    assert calls.indices(True, "derive", "A093431") == list(range(cut, n_max_heavy + 1))
+    assert calls.indices(False, "derive", "A093431") == list(range(1, cut))
+    assert calls.indices(True, "terms", "A093431") == []
+    assert calls.indices(False, "terms", "A093431") == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=512, max_value=sys.maxsize))
+def test_a_heavy_range_is_cut_alike_for_each_sequence_inside_its_range(n_max):
+    heavy = [seq for seq in parity_catalogue() if seq.cost_class == BIGNUM_HEAVY]
+    cuts = {verify._split_at(seq, n_max) for seq in heavy}
+    assert len(cuts) == 1  # a dependent is cut where its base is
+    cut = cuts.pop()
+    assert all(seq.offset < cut <= n_max for seq in heavy)
+    # the top window is at least a sixth of its stop wide, so it steps through n
+    assert 6 * (n_max + 1 - cut) >= n_max + 1
 
 
 def failing_base(fail_at):
@@ -767,6 +838,19 @@ def test_a_fork_that_fails_gives_the_one_process_report_and_closes_its_pipes(mon
     assert reported(verify_sequences(sequences, 300, 200)) == whole
     assert attempts == [1]
     assert sorted(os.listdir("/proc/self/fd")) == fds
+    # a second pipe refused is the same walk, with the first pipe closed and no fork tried
+    pipe, pipes = os.pipe, []
+
+    def second_refused():
+        pipes.append(1)
+        if len(pipes) == 2:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", second_refused)
+    assert reported(verify_sequences(sequences, 300, 200)) == whole
+    assert (attempts, pipes) == ([1], [1, 1])
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 @pytest.fixture
@@ -787,6 +871,9 @@ def test_nothing_forks_with_one_cpu(monkeypatch, no_fork):
 def test_nothing_forks_for_ranges_of_one_window(monkeypatch, no_fork):
     monkeypatch.setattr(verify, "_spare_cpu", lambda: True)
     assert verify_sequences(parity_catalogue(), 63, 63).all_fitted()
+    # at the default W a heavy range below the floor is one window, not cut
+    monkeypatch.setattr(verify, "W", W)
+    assert verify_all(63, 511).all_fitted()
 
 
 def test_nothing_forks_with_a_second_live_thread(monkeypatch, no_fork):

@@ -5,13 +5,12 @@ independently of the claim a best-fitting (shift, complement) pair is searched
 for.  Where the recorded claim disagrees with the data by an index shift, the
 report shows both; it never substitutes the fit for the claim.
 
-A sequence's terms are generated one window of at most W indices at a time
-and only their parities are kept, one bit per term, so the terms held at once
-stay bounded however far the range reaches.
-
-With a spare CPU a range may be cut in two and its bottom half walked by a
-forked child: a cheap range at a window boundary, and a big-integer range of
-_HEAVY_SPLIT_MIN terms or more where its lcm work halves (_split_at).
+The report's parity words and those of check_relation and fit_relation come
+from one walk, _parity_words: a sequence's terms are generated one window of
+at most W indices at a time and only their parities are kept, one bit per
+term, so the terms held at once stay bounded however far the range reaches.
+With a spare CPU a range may be cut in two (_split_at) and its bottom half
+walked by a forked child.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .catalogue import (
 from .parity import master_prefix
 
 MAX_SHIFT = 4
-#: The width of the windows _window_parities generates terms in.
+#: The width of the windows _lockstep generates terms in.
 W = 1 << 14
 #: The heavy n_max from which _split_at cuts a range where its work halves:
 #: a standalone fork-and-pipe probe of the lcm walk (2 vCPUs, medians of 15
@@ -69,20 +68,6 @@ def _windows(offset: int, n_max: int) -> Iterator[tuple[int, int]]:
         lo = max((hi - 1) // W * W, offset)
         yield lo, hi
         hi = lo
-
-
-def _window_parities(seq: SequenceDescriptor, n_max: int, start: int = 0) -> Iterator[int]:
-    """The parities of seq's values at [max(offset, start), n_max], one window
-    of _windows at a time: each is packed by _pack and shifted to its place in
-    the parity word, and its terms are dropped before the next is generated.
-    The windows' bits are disjoint, so their sum is the whole word.  The list
-    of parities is dropped as soon as it is bytes, before _pack copies them,
-    since a base's terms stay alive for the sequence built on it
-    (_shared_terms)."""
-    if n_max < seq.offset:
-        raise ValueError(f"n_max {n_max} is below the offset of {seq.id}")
-    for lo, hi in _windows(max(seq.offset, start), n_max):
-        yield _pack(bytes([v & 1 for v in seq.terms(lo, hi)])) << (lo - seq.offset)
 
 
 def _reach(rel: ParityRelation) -> int:
@@ -133,7 +118,7 @@ def check_relation(
     seq: SequenceDescriptor, rel: ParityRelation, n_max: int
 ) -> list[int]:
     """All n in [max(offset, -shift), n_max] where the relation fails."""
-    parities = sum(_window_parities(seq, n_max))
+    parities = _parity_word(seq, n_max)
     packed = _PackedParities(seq.offset, n_max, parities, _master_word(n_max, _reach(rel)))
     return _set_bits(packed.mismatches(rel))
 
@@ -150,7 +135,7 @@ def fit_relation(seq: SequenceDescriptor, n_max: int) -> ParityRelation | None:
             f"n_max {n_max} too small to fit relations for {seq.id} "
             f"(need at least offset + {2 * MAX_SHIFT})"
         )
-    parities = sum(_window_parities(seq, n_max))
+    parities = _parity_word(seq, n_max)
     return _PackedParities(seq.offset, n_max, parities, _master_word(n_max, MAX_SHIFT)).fit()
 
 
@@ -276,7 +261,7 @@ class VerificationReport(Record):
 
 
 def _shared_terms(seq: SequenceDescriptor, windows: dict, start: int, stop: int) -> list[int]:
-    """seq's window [start, stop) in one verify_sequences call.  A base puts each
+    """seq's window [start, stop) in one _parity_words call.  A base puts each
     of its windows in windows as (start, terms); the sequence built on it,
     which runs next, takes it out, cuts it to its own range and derives its
     window from it in place.  Where the base's window does not hold its own, it
@@ -295,41 +280,43 @@ def _shared_terms(seq: SequenceDescriptor, windows: dict, start: int, stop: int)
     return seq.terms(start, stop)
 
 
-def _error_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _error_text(error: Exception | str | None) -> str | None:
+    """An error as a report shows it; one the child met arrives as text."""
+    if error is None or isinstance(error, str):
+        return error
+    return f"{type(error).__name__}: {error}"
 
 
 def _lockstep(
-    parts: list[tuple[int, SequenceDescriptor, int, int]], checks: list[SequenceCheck],
-    words: list[int], failed: Callable[[int], None] | None = None,
-    stopped: Callable[[], list[int]] = list,
+    parts: list[tuple[int, SequenceDescriptor, int, int]], walks: list[list],
+    after_round: Callable[[], None] = lambda: None,
 ) -> None:
     """Walk each part (i, seq, start, n_max), seq's windows of
     [max(offset, start), n_max], in lockstep from the top down: each part
-    takes one window per round, in the order given, before the next round.
-    Each ors its parity bits into words[i] and adds its windows' seconds to
-    checks[i].generate_s; one that raises records its error in checks[i], is
-    passed to failed and stops while the others go on.  After each round the
-    parts whose indices stopped() returns stop; other indices are ignored."""
+    takes one window per round, in the order given, and after_round is called
+    after each round.  Each window's parities are packed by _pack and ored
+    into walks[i][0] at their place in the parity word, and its seconds are
+    added to walks[i][2].  Its terms are dropped before the next window is
+    generated, and the list of parities as soon as it is bytes, before _pack
+    copies them, since a base's terms stay alive for the sequence built on it
+    (_shared_terms).  A part that raises keeps the exception, without its
+    traceback, in walks[i][1] and stops while the others go on."""
 
     def step(i: int, seq: SequenceDescriptor, start: int, n_max: int) -> Iterator[None]:
+        walk = walks[i]
         try:
-            started = perf_counter()
-            for bits in _window_parities(seq, n_max, start):
-                words[i] |= bits
-                checks[i].generate_s += perf_counter() - started
-                yield
+            if n_max < seq.offset:
+                raise ValueError(f"n_max {n_max} is below the offset of {seq.id}")
+            for lo, hi in _windows(max(seq.offset, start), n_max):
                 started = perf_counter()
+                walk[0] |= _pack(bytes([v & 1 for v in seq.terms(lo, hi)])) << (lo - seq.offset)
+                walk[2] += perf_counter() - started
+                yield
         except Exception as exc:  # aggregate failures instead of aborting the run
-            checks[i].error = _error_text(exc)
-            if failed is not None:
-                failed(i)
+            walk[1] = exc.with_traceback(None)  # its frames would hold the failed window
 
-    steps = {part[0]: step(*part) for part in parts}
-    for _ in zip_longest(*steps.values()):
-        for i in stopped():
-            if i in steps:
-                steps[i].close()
+    for _ in zip_longest(*[step(*part) for part in parts]):
+        after_round()
 
 
 def _check(seq: SequenceDescriptor, check: SequenceCheck, word: int, masters: dict) -> None:
@@ -357,18 +344,20 @@ def _split_at(seq: SequenceDescriptor, n_max: int) -> int:
     """Where seq's range [offset, n_max] is cut into a top and a bottom half;
     the offset where it is not cut.
 
-    A BIGNUM_HEAVY range of _HEAVY_SPLIT_MIN terms or more is cut where the
-    halves cost the same to walk.  A step of the lcm sums at n costs about
-    n**2 (n/2 summands of about n bits), and the top half also walks its
-    first n in full, so they balance at about 0.7 (n_max + 1): [0, 717) and
-    [717, 1025) took 34.0 and 33.7 ms on a 2-vCPU VM, and the same cut
-    balanced 513 and 2049.  The cut depends on n_max alone, so A093431 is
-    cut where its base A061297 is and still derives every window, and the
-    range above it stays at least a sixth of its stop wide, so that its
-    window steps through n (lcm_sums._a061297_window).  Any other range is cut at the multiple of W
+    A BIGNUM_HEAVY range of _HEAVY_SPLIT_MIN terms or more is cut at 0.7
+    (n_max + 1).  A step of the lcm sums at n costs about n**2 (n/2 summands
+    of about n bits), and the top half also walks its first n in full, so
+    the halves balance there near 1024 terms: [0, 717) and [717, 1025) took
+    34.0 and 33.7 ms on a 2-vCPU VM.  Further up the top half costs more, as
+    its window-start pass grows faster than n**2: [0, 2867) and [2867, 4097)
+    took 0.41 and 0.52 s, [0, 5735) and [5735, 8193) 2.14 and 3.72 s.  The
+    cut depends on n_max alone, so A093431 is cut where its base A061297 is
+    and still derives every window, and the range above it stays at least a
+    sixth of its stop wide, so that its window steps through n
+    (lcm_sums._a061297_window).  Any other range is cut at the multiple of W
     that halves its windows, so a range of one window is not cut: a heavy
     range below the floor is one window at the default W, and there a fork
-    and its pipes cost more than the half they save.
+    and its pipe cost more than the half they save.
     """
     if seq.cost_class == BIGNUM_HEAVY and n_max >= _HEAVY_SPLIT_MIN:
         return max((n_max + 1) * 7 // 10, seq.offset)
@@ -386,62 +375,43 @@ def _may_fork() -> bool:
     return hasattr(os, "fork") and one_thread and _spare_cpu()
 
 
-def _stopped(stop: int) -> list[int]:
-    """The indices the parent has written to the non-blocking stop since the
-    last call.  At EOF the parent is gone, and the child leaves."""
-    data = b""
-    while True:
-        try:
-            chunk = os.read(stop, 1 << 12)
-        except BlockingIOError:
-            return [int(i) for i in data.split()]
-        if not chunk:
-            os._exit(0)
-        data += chunk
-
-
 class _Child:
-    """The forked process that walks the bottom halves of verify_sequences,
-    the _lockstep parts given, and sends each one's word, error and generation
-    seconds by its index.  Where a pipe or the fork is refused, the OSError
-    is raised with no descriptor left open."""
+    """The forked process that walks the bottom halves of _parity_words, the
+    _lockstep parts given, and sends each one's word, error text and
+    generation seconds by its index.  It leaves through os._exit, flushing
+    nothing to stdout or stderr: after its report, or after any round at
+    which the process it was forked from is no longer its parent (it died
+    without reaping the child).  Where the pipe or the fork is refused, the
+    OSError is raised with no descriptor left open."""
 
     def __init__(
-        self, bottoms: list[tuple[int, SequenceDescriptor, int, int]], checks: list[SequenceCheck]
+        self, bottoms: list[tuple[int, SequenceDescriptor, int, int]], walks: list[list]
     ) -> None:
-        fds: list[int] = []
+        parent = os.getpid()
+        self._reader, writer = os.pipe()
         try:
-            fds += os.pipe()
-            fds += os.pipe()
             self._pid = os.fork()
         except OSError:
-            for fd in fds:
-                os.close(fd)
+            os.close(self._reader)
+            os.close(writer)
             raise
-        stop_r, self._stop, self._reader, writer = fds
         if self._pid == 0:
             try:
-                os.close(self._stop)
                 os.close(self._reader)
-                os.set_blocking(stop_r, False)
-                words = [0] * len(checks)
-                _lockstep(bottoms, checks, words, stopped=partial(_stopped, stop_r))
-                report = {i: (words[i], checks[i].error, checks[i].generate_s)
+
+                def leave_if_orphaned() -> None:
+                    if os.getppid() != parent:
+                        os._exit(0)
+
+                _lockstep(bottoms, walks, leave_if_orphaned)
+                report = {i: (walks[i][0], _error_text(walks[i][1]), walks[i][2])
                           for i, *_ in bottoms}
                 data = memoryview(marshal.dumps(report))
                 while data:
                     data = data[os.write(writer, data):]
             finally:
                 os._exit(0)
-        os.close(stop_r)
         os.close(writer)
-
-    def stop(self, i: int) -> None:
-        """Tell the child that sequence i has failed here."""
-        try:
-            os.write(self._stop, b"%d " % i)
-        except OSError:  # the child has left
-            pass
 
     def report(self) -> dict[int, tuple[int, str | None, float]]:
         """The child's report, read to EOF; empty if the child left before it was written."""
@@ -455,10 +425,88 @@ class _Child:
 
     def close(self) -> None:
         """Reap the child, killed first in case it is still at work."""
-        os.close(self._stop)
         os.close(self._reader)
         os.kill(self._pid, 9)  # SIGKILL
         os.waitpid(self._pid, 0)
+
+
+def _parity_words(sequences: list[SequenceDescriptor], n_maxes: list[int]) -> list[list]:
+    """[word, error, seconds] for each sequence, in the order given: its
+    parity word on [offset, n_max] at its n_max in n_maxes, the error its
+    walk met first, if any, and its generation seconds.  No claim is read.
+
+    The sequences walk their windows in lockstep (_lockstep), from the top
+    down, so one that raises stops and the others go on.  A sequence whose
+    base is listed runs right after it in each round, wherever it is listed,
+    and derives its window from the base's window of that round
+    (_shared_terms).  So a base's windows are generated once for both, at
+    most one base window is held at a time and none past the call, and a
+    sequence whose base is not listed generates its own.
+
+    When _split_at cuts some range, and os.fork exists, this process runs one
+    thread and may run on two CPUs or more, one child (_Child) walks the
+    bottom half of every cut range (the windows of [offset, cut)) in its own
+    lockstep; where the pipe or the fork is refused, this process walks every
+    range in one lockstep.  This process walks every top half, then reads the
+    child's report once, unless a sequence with a bottom half has failed in
+    its top half: then the child is killed unread.  It walks itself each
+    bottom half the report lacks (the child died or was killed) of a sequence
+    that has not failed.  So each error is the one a walk in one process
+    meets first: an exception met here, or the text of one the child met.
+    Generation seconds are summed over both processes.  The child is reaped
+    before the call returns or raises, killed first in case it is still at
+    work.
+    """
+    windows = dict.fromkeys(seq.base[0] for seq in sequences if seq.base is not None)
+    walked = [
+        SequenceDescriptor(seq.id, seq.offset, partial(_shared_terms, seq, windows))
+        if seq.id in windows or seq.base is not None else seq
+        for seq in sequences
+    ]
+    listed = {seq.id: i for i, seq in enumerate(sequences)}
+
+    def run_position(i: int) -> tuple[int, int]:  # right after a listed base
+        base = sequences[i].base
+        return (listed[base[0]], 1) if base is not None and base[0] in listed else (i, 0)
+
+    order = sorted(range(len(sequences)), key=run_position)
+    walks = [[0, None, 0.0] for _ in sequences]
+    cuts = [_split_at(seq, n_max) for seq, n_max in zip(sequences, n_maxes)]
+    bottoms = [(i, walked[i], walked[i].offset, cuts[i] - 1)
+               for i in order if cuts[i] > walked[i].offset]
+    child = None
+    if bottoms and _may_fork():
+        try:
+            child = _Child(bottoms, walks)
+        except OSError:  # no pipe or no child
+            pass
+    if child is None:  # this process walks every window, in one lockstep
+        cuts, bottoms = [seq.offset for seq in walked], []
+    lower = {}
+    try:
+        _lockstep([(i, walked[i], cuts[i], n_maxes[i]) for i in order], walks)
+        if child is not None and all(walks[i][1] is None for i, *_ in bottoms):
+            lower = child.report()
+    finally:
+        if child is not None:
+            child.close()
+    for i, (word, error, seconds) in lower.items():
+        walks[i] = [walks[i][0] | word, error, walks[i][2] + seconds]
+    _lockstep([part for part in bottoms if part[0] not in lower and walks[part[0]][1] is None],
+              walks)
+    return walks
+
+
+def _parity_word(seq: SequenceDescriptor, n_max: int) -> int:
+    """seq's parity word on [offset, n_max], walked by _parity_words.  Its
+    error is raised: the exception itself where this process met it, or a
+    RuntimeError of its text where the child met it first."""
+    [(word, error, _)] = _parity_words([seq], [n_max])
+    if isinstance(error, str):
+        raise RuntimeError(error)
+    if error is not None:
+        raise error
+    return word
 
 
 def verify_sequences(
@@ -471,39 +519,12 @@ def verify_sequences(
     could not be indexed (sys.maxsize or more; the lcm sums refuse such a
     range at their top window).
 
-    The sequences walk their windows in lockstep (_lockstep), from the top
-    down: each window goes to every sequence before the next is taken.  Each
-    keeps its own parity word, times and error, so one that raises stops and
-    the others go on.  A sequence whose base is listed runs right after it in
-    each round, wherever it is listed, and derives its window from the base's
-    window of that round (_shared_terms); the report keeps the listed order.
-    So a base's windows are generated once for both, at most one base window
-    is held at a time and none past the call, and a sequence whose base is
-    not listed generates its own.
-
-    When _split_at cuts some range (a cheap range of two windows or more,
-    or a heavy range of _HEAVY_SPLIT_MIN terms or more, where its lcm work
-    halves), and os.fork exists, this process runs one thread and may run
-    on two CPUs or more, one child is forked to walk the bottom half of
-    every cut range (the windows of [offset, cut)) in its own lockstep.
-    Where a pipe or the fork is refused, this process walks every range in
-    one lockstep.  Otherwise the order is: this process walks every top
-    half; it reads the child's report once; it walks itself any bottom half
-    the report lacks (the child died); then it checks each claim and fits
-    each relation.  A sequence that fails in a top half is named to the
-    child through a stop pipe, which the child drains after each round,
-    dropping the named walks it has; at EOF there it leaves.  The child sends each bottom half's word,
-    error and generation seconds through a pipe with marshal and leaves
-    through os._exit, writing nothing to stdout or stderr.  A child's error
-    is a sequence's error only where its top half raised none, so each error
-    is the one a walk in one process meets first.  Generation seconds are
-    summed over both processes.  The child is reaped before the call returns
-    or raises, killed first in case it is still at work.
-
-    After every walk has ended the claims are checked and the relations
-    fitted, in the listed order.  Sequences on the same range and reach share
-    one master word, built by the first check that needs it, so an error in
-    building it is recorded on that check's line.
+    The parity words come from _parity_words, which may fork; a sequence
+    whose walk raised reports that error.  After every walk has ended the
+    claims are checked and the relations fitted (_check), in the listed
+    order.  Sequences on the same range and reach share one master word,
+    built by the first check that needs it, so an error in building it is
+    recorded on that check's line.
     """
     for seq in sequences:
         if seq.claimed is None:
@@ -515,55 +536,15 @@ def verify_sequences(
         if seq.cost_class != BIGNUM_HEAVY and n_max_cheap + reach >= sys.maxsize:
             raise ValueError(f"verification ranges must keep n_max + {reach} below "
                              f"sys.maxsize = {sys.maxsize}, got n_max = {n_max_cheap}")
+    n_maxes = [n_max_heavy if seq.cost_class == BIGNUM_HEAVY else n_max_cheap
+               for seq in sequences]
     report = VerificationReport(n_max_cheap=n_max_cheap, n_max_heavy=n_max_heavy)
-    windows = dict.fromkeys(seq.base[0] for seq in sequences if seq.base is not None)
     masters: dict[tuple[int, int], int] = {}
-    walked = []
-    for seq in sequences:
-        n_max = n_max_heavy if seq.cost_class == BIGNUM_HEAVY else n_max_cheap
-        report.checks.append(SequenceCheck(
-            sequence_id=seq.id, offset=seq.offset, n_max=n_max, claimed=seq.claimed
-        ))
-        if seq.id in windows or seq.base is not None:
-            terms = partial(_shared_terms, seq, windows)
-            seq = SequenceDescriptor(seq.id, seq.offset, terms, claimed=seq.claimed)
-        walked.append(seq)
-    listed = {seq.id: i for i, seq in enumerate(sequences)}
-
-    def run_position(i: int) -> tuple[int, int]:  # right after a listed base
-        base = sequences[i].base
-        return (listed[base[0]], 1) if base is not None and base[0] in listed else (i, 0)
-
-    order = sorted(range(len(sequences)), key=run_position)
-    checks = report.checks
-    cuts = [_split_at(seq, check.n_max) for seq, check in zip(sequences, checks)]
-    bottoms = [(i, walked[i], walked[i].offset, cuts[i] - 1)
-               for i in order if cuts[i] > walked[i].offset]
-    child = None
-    if bottoms and _may_fork():
-        try:
-            child = _Child(bottoms, checks)
-        except OSError:  # no pipe or no child
-            pass
-    if child is None:  # this process walks every window, in one lockstep
-        cuts, bottoms = [seq.offset for seq in walked], []
-    words = [0] * len(walked)
-    try:
-        tops = [(i, walked[i], cuts[i], checks[i].n_max) for i in order]
-        _lockstep(tops, checks, words, child and child.stop)
-        lower = child.report() if child else {}
-    finally:
-        if child is not None:
-            child.close()
-    for i, (word, error, seconds) in lower.items():
-        if checks[i].error is None:  # else the top half's error came first
-            words[i] |= word
-            checks[i].error = error
-            checks[i].generate_s += seconds
-    missing = [part for part in bottoms if part[0] not in lower and checks[part[0]].error is None]
-    _lockstep(missing, checks, words)
-    for seq, check, word in zip(walked, checks, words):
-        _check(seq, check, word, masters)
+    for seq, n_max, (word, error, seconds) in zip(sequences, n_maxes,
+                                                  _parity_words(sequences, n_maxes)):
+        report.checks.append(SequenceCheck(seq.id, seq.offset, n_max, seq.claimed,
+                                           error=_error_text(error), generate_s=seconds))
+        _check(seq, report.checks[-1], word, masters)
     return report
 
 

@@ -4,6 +4,8 @@ import dataclasses
 import errno
 import marshal
 import os
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -28,7 +30,7 @@ from seqparity.verify import (
     MISMATCH_SAMPLE_CAP,
     W,
     _pack,
-    _window_parities,
+    _parity_word,
     check_relation,
     fit_relation,
     verify_all,
@@ -319,7 +321,8 @@ def test_claim_shifted_beyond_the_fit_window_is_checked_in_full():
 # A102393 starts at 0 and A003071 at 1; both are cheap at 3W + 5
 @pytest.mark.parametrize("seq_id", ["A102393", "A003071"])
 @pytest.mark.parametrize("n_max", [W - 2, W - 1, W, W + 1, 3 * W + 5])
-def test_parity_word_equals_the_packed_list_of_the_whole_range(seq_id, n_max):
+def test_parity_word_equals_the_packed_list_of_the_whole_range(monkeypatch, seq_id, n_max):
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: False)  # record every call here
     seq = CATALOGUE[seq_id]
     windows = []
 
@@ -327,7 +330,7 @@ def test_parity_word_equals_the_packed_list_of_the_whole_range(seq_id, n_max):
         windows.append((start, stop))
         return seq.terms(start, stop)
 
-    word = sum(_window_parities(dataclasses.replace(seq, terms=terms), n_max))
+    word = _parity_word(dataclasses.replace(seq, terms=terms), n_max)
     assert word == _pack([v & 1 for v in seq.terms(seq.offset, n_max + 1)])
     # the windows tile [offset, n_max], from the top down, each inside one [jW, (j+1)W)
     tiles = sorted(windows)
@@ -676,6 +679,40 @@ def test_a_failure_in_either_half_is_the_error_one_process_meets_first(
     assert whole[0].count("error") == 1
 
 
+LIBRARY_ROUTES = {
+    "check": lambda seq, n_max: check_relation(seq, seq.claimed, n_max),
+    "fit": fit_relation,
+}
+
+
+# at W = 64 a cheap range of 300 is cut at 128 and a heavy one of 1024 at 717;
+# A003071's claim fails, and A029886 walks alone, without its base
+@pytest.mark.parametrize("route", LIBRARY_ROUTES)
+@pytest.mark.parametrize("seq_id, n_max", [
+    ("A102393", 300), ("A003071", 300), ("A029886", 300), ("A061297", 1024)])
+def test_the_library_check_and_fit_split_as_verify_does(monkeypatch, forks, route, seq_id, n_max):
+    seq = CATALOGUE[seq_id]
+    whole, split = in_one_process_and_split(
+        monkeypatch, forks, lambda: LIBRARY_ROUTES[route](seq, n_max))
+    assert split == whole
+
+
+@pytest.mark.parametrize("route", LIBRARY_ROUTES)
+def test_the_library_raises_an_error_the_child_meets_first_as_a_runtime_error_of_its_text(
+        monkeypatch, forks, route):
+    # at W = 64 the window at 192 is walked in this process and the one at 64 in the child
+    run = LIBRARY_ROUTES[route]
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: True)
+    with pytest.raises(RuntimeError, match="^RuntimeError: boom at 64$"):
+        run(failing_base({64}), 300)
+    with pytest.raises(RuntimeError, match="^boom at 192$"):  # met here, raised as it is
+        run(failing_base({192, 64}), 300)
+    assert len(forks) == 2
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: False)
+    with pytest.raises(RuntimeError, match="^boom at 64$"):
+        run(failing_base({64}), 300)
+
+
 def test_a_child_that_dies_changes_nothing_in_the_report(monkeypatch, forks):
     parent = os.getpid()
 
@@ -732,35 +769,91 @@ def test_the_child_is_reaped_after_a_return_and_after_an_interrupt(monkeypatch, 
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_the_child_drops_a_sequence_that_has_failed_in_the_parent(monkeypatch, forks, tmp_path):
+ORPHANING_PARENT = """
+import os, signal, sys, time
+from seqparity import verify
+from seqparity.catalogue import CATALOGUE, ParityRelation, SequenceDescriptor
+
+verify.W = 64
+verify._spare_cpu = lambda: True
+parent, pid_file = os.getpid(), sys.argv[1]
+
+def slow(start, stop):
+    if os.getpid() != parent:
+        if not os.path.exists(pid_file):
+            with open(pid_file + ".part", "w") as out:
+                out.write(str(os.getpid()))
+            os.rename(pid_file + ".part", pid_file)
+        time.sleep(0.2)
+    elif start == 3968:  # this process's second top window
+        while not os.path.exists(pid_file):
+            time.sleep(0.01)
+        os.kill(parent, signal.SIGKILL)  # runs no finally, so nothing reaps the child
+    return CATALOGUE["A102393"].terms(start, stop)
+
+claim = ParityRelation(0, False)
+verify.verify_sequences([SequenceDescriptor("slow", 0, slow, claimed=claim)], 4095, 64)
+"""
+
+
+def test_a_child_whose_parent_died_unreaped_leaves(tmp_path):
+    # 32 windows of 0.2 s each are the child's half; it leaves after the one
+    # it is in when its parent dies
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    pid_file = tmp_path / "child"
+    result = subprocess.run([sys.executable, "-c", ORPHANING_PARENT, str(pid_file)],
+                            env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert result.returncode == -signal.SIGKILL
+    stat = f"/proc/{pid_file.read_text()}/stat"
+
+    def at_work():
+        try:
+            with open(stat) as f:
+                return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 3
+    while at_work() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not at_work()
+
+
+def test_the_child_drops_a_sequence_that_has_failed_in_the_parent(monkeypatch, forks):
+    # a failure in a top half makes the child's report moot: the child is
+    # killed unread, and this process walks the other bottom halves itself
     parent = os.getpid()
-    failed = tmp_path / "failed"
+    walked_here = []
 
     def bad(start, stop):
         if os.getpid() == parent:
-            failed.touch()
             raise RuntimeError("boom")
-        with open(tmp_path / "walked-in-child", "a") as out:
-            out.write(f"{start}\n")
         return [0] * (stop - start)
 
     def slow(start, stop):
-        if os.getpid() != parent and start == 192:  # the child's first round
-            deadline = time.monotonic() + 10
-            while not failed.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            time.sleep(0.2)  # for the stop this process sends at the failure
+        if os.getpid() != parent:
+            time.sleep(60)  # a report that would come this late is not waited for
+        else:
+            walked_here.append(start)
         return CATALOGUE["A102393"].terms(start, stop)
 
     claim = ParityRelation(0, False)
     sequences = [SequenceDescriptor("bad", 0, bad, claimed=claim),
                  SequenceDescriptor("slow", 0, slow, claimed=claim)]
+    monkeypatch.setattr(verify, "_spare_cpu", lambda: False)
+    whole = reported(verify_sequences(sequences, 511, 511))
+    walked_here.clear()
     monkeypatch.setattr(verify, "_spare_cpu", lambda: True)
+    started = time.monotonic()
     # eight windows: 448 down to 256 in this process, 192 down to 0 in the child
-    report = verify_sequences(sequences, 511, 511)
+    split = verify_sequences(sequences, 511, 511)
+    assert time.monotonic() - started < 30
     assert len(forks) == 1
-    assert [check.error for check in report.checks] == ["RuntimeError: boom", None]
-    assert (tmp_path / "walked-in-child").read_text() == "192\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # reaped
+    assert reported(split) == whole
+    assert [check.error for check in split.checks] == ["RuntimeError: boom", None]
+    assert walked_here == [448, 384, 320, 256, 192, 128, 64, 0]
 
 
 def in_the_parent(events, seq_id, child_delay):
@@ -838,18 +931,16 @@ def test_a_fork_that_fails_gives_the_one_process_report_and_closes_its_pipes(mon
     assert reported(verify_sequences(sequences, 300, 200)) == whole
     assert attempts == [1]
     assert sorted(os.listdir("/proc/self/fd")) == fds
-    # a second pipe refused is the same walk, with the first pipe closed and no fork tried
-    pipe, pipes = os.pipe, []
+    # a refused pipe is the same walk, with no fork tried
+    pipes = []
 
-    def second_refused():
+    def pipe_refused():
         pipes.append(1)
-        if len(pipes) == 2:
-            raise OSError(errno.EMFILE, "Too many open files")
-        return pipe()
+        raise OSError(errno.EMFILE, "Too many open files")
 
-    monkeypatch.setattr(os, "pipe", second_refused)
+    monkeypatch.setattr(os, "pipe", pipe_refused)
     assert reported(verify_sequences(sequences, 300, 200)) == whole
-    assert (attempts, pipes) == ([1], [1, 1])
+    assert (attempts, pipes) == ([1], [1])
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 

@@ -22,15 +22,19 @@ DEFAULT_N_MAX_HEAVY = 512
 
 
 def _emit_terms(seq_id: str, start: int, values: list[int], fmt: str) -> None:
-    if fmt == "plain":
-        sys.stdout.write(("%d\n" * len(values)) % tuple(values))
-    elif fmt == "bfile":
-        sys.stdout.write(oeis.serialize_bfile(oeis.BFileTable(seq_id, start, tuple(values))))
-    else:
+    if fmt == "json":
         import json
 
         record = {"id": seq_id, "from": start, "count": len(values), "terms": values}
         sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+    else:
+        _write_chunks(oeis.text_chunks(values, start if fmt == "bfile" else None))
+
+
+def _write_chunks(chunks) -> None:
+    # write() alone, the one method a stdout replacement is known to have
+    for chunk in chunks:
+        sys.stdout.write(chunk)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -75,14 +79,15 @@ def cmd_check_bfile(args: argparse.Namespace) -> int:
     seq = catalogue.get(args.id)
     if args.limit < 0:
         raise ValueError(f"--limit must be non-negative, got {args.limit}")
-    if args.file is None:
-        table = oeis.fixture_table(args.id)
-    elif args.file == "fetch":
-        table = oeis.fetch_bfile(args.id, args.cache_dir, offline=args.offline)
+    if args.file not in (None, "fetch"):
+        # the text as read_bfile reads it: UTF-8, no newline translation
+        text = Path(args.file).read_bytes().decode("utf-8")
+        checked, mismatches = oeis.cross_check_text(seq, text, args.limit)
     else:
-        table = oeis.read_bfile(Path(args.file), args.id)
-    mismatches = oeis.cross_check(seq, table, args.limit)
-    checked = min(args.limit, len(table))
+        table = (oeis.fixture_table(args.id) if args.file is None
+                 else oeis.fetch_bfile(args.id, args.cache_dir, offline=args.offline))
+        mismatches = oeis.cross_check(seq, table, args.limit)
+        checked = min(args.limit, len(table))
     for index, expected, actual in mismatches:
         print(f"{index} expected {expected} got {actual}")
     print(f"{seq.id}: checked {checked} terms, {len(mismatches)} mismatches")
@@ -91,7 +96,7 @@ def cmd_check_bfile(args: argparse.Namespace) -> int:
 
 def cmd_fetch_bfile(args: argparse.Namespace) -> int:
     table = oeis.fetch_bfile(args.id, args.cache_dir, offline=args.offline)
-    sys.stdout.write(oeis.serialize_bfile(table))
+    _write_chunks(oeis.text_chunks(table.values, table.start))
     return 0
 
 

@@ -2,11 +2,15 @@
 
 A b-file is plain text with one "<index> <value>" pair per line; '#' lines are
 comments.  The indices run on by one, so a `BFileTable` is the first index and
-the values.  Files, cache entries and fixtures are all read by `read_bfile`,
-and a download by `parse_bfile`.  Fixture b-files bundled for every generated
-sequence make all of this work offline; fetching from oeis.org is opt-in
-(`fetch_bfile`).  The network stack is imported only by such a fetch, so an
-offline caller never loads it.
+the values.  Cache entries and fixtures are read by `read_bfile`, and a
+download by `parse_bfile`.  `text_chunks` is the one writer: it writes the
+canonical form (and plain one-term lines) a fixed number of rows at a time, so
+no caller holds the whole text.  A b-file given by the user is checked by
+`cross_check_text`, which compares canonical text with what the writer would
+write and parses only text that differs.  Fixture b-files bundled for every
+generated sequence make all of this work offline; fetching from oeis.org is
+opt-in (`fetch_bfile`).  The network stack is imported only by such a fetch,
+so an offline caller never loads it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .catalogue import FrozenRecord, SequenceDescriptor
 
 _FIXTURE_PACKAGE = "seqparity"
 _CHUNK = 1 << 13  # characters of canonical text checked, split and compared at a time
+_ROWS = 1 << 8  # rows of text written at a time
 
 
 class BFileFormatError(ValueError):
@@ -91,35 +96,17 @@ def parse_bfile(text: str, sequence_id: str = "") -> BFileTable:
 
 def _parse_canonical(text: str) -> tuple[int, list[int]] | None:
     """The first index and the values of b-file text in the canonical form
-    that `serialize_bfile` writes, or None for any other text.
+    that `text_chunks` writes, or None for any other text.
 
     After any leading '#' lines, every line of canonical text is
     '<index> <value>' with a single space and ends in a line feed, the
     indices written as "%d" writes them and running on by one, and every
     value one int() reads.  It is read at C speed, whole lines of about
     _CHUNK characters at a time."""
-    pos = 0
-    while text.startswith("#", pos):  # the leading comment block
-        pos = text.find("\n", pos) + 1
-        if not pos:
-            return None
     start, values = None, []
     try:
-        while pos < len(text):
-            # whole lines, about _CHUNK characters: no check copies the text
-            end = text.find("\n", pos + _CHUNK)
-            end = len(text) if end < 0 else end + 1
-            chunk = text[pos:end].encode("ascii")  # raises on a non-ASCII character
-            pos = end
-            # each line two tokens of -?[0-9]+ characters around one space:
-            # one space then one "\n" per line, and no token empty
-            if (
-                chunk.translate(None, b"0123456789-") != b" \n" * chunk.count(b"\n")
-                or not chunk.endswith(b"\n")
-                or chunk.startswith(b" ")
-                or b"\n " in chunk
-                or b" \n" in chunk
-            ):
+        for chunk in _canonical_chunks(text, _rows_start(text)):
+            if chunk is None:
                 return None
             # int() reads ASCII bytes as it reads the same str, limit included
             tokens = chunk.split()
@@ -134,9 +121,43 @@ def _parse_canonical(text: str) -> tuple[int, list[int]] | None:
             if b" ".join(indices) + b" " != expected:
                 return None
             values.extend(map(int, tokens[1::2]))
-    except ValueError:  # a non-ASCII character, or a token int() does not read
+    except ValueError:  # a token int() does not read
         return None
     return None if start is None else (start, values)
+
+
+def _rows_start(text: str) -> int:
+    """Where the rows of b-file text begin: after its leading '#' lines, or at
+    its end if those take all of it."""
+    pos = 0
+    while text.startswith("#", pos):
+        pos = text.find("\n", pos) + 1 or len(text)
+    return pos
+
+
+def _canonical_chunks(text: str, pos: int):
+    """Yield text[pos:] as ASCII bytes, whole lines of about _CHUNK characters
+    at a time, each line checked to be canonical in form: two -?[0-9]+ tokens
+    around one space, ended by a line feed.  The first chunk that is not, or
+    that holds a non-ASCII character, is yielded as None and ends the walk."""
+    while pos < len(text):
+        # whole lines, about _CHUNK characters: no check copies the text
+        end = text.find("\n", pos + _CHUNK)
+        end = len(text) if end < 0 else end + 1
+        chunk = text[pos:end]
+        chunk = chunk.encode("ascii") if chunk.isascii() else b""
+        pos = end
+        # one space then one "\n" per line, and no token empty
+        if (
+            chunk.translate(None, b"0123456789-") != b" \n" * chunk.count(b"\n")
+            or not chunk.endswith(b"\n")
+            or chunk.startswith(b" ")
+            or b"\n " in chunk
+            or b" \n" in chunk
+        ):
+            yield None
+            return
+        yield chunk
 
 
 def _parse_lines(text: str, sequence_id: str = "") -> BFileTable:
@@ -184,21 +205,45 @@ def _row_error(lineno: int, raw: str, problem: str) -> BFileFormatError:
     return BFileFormatError(f"line {lineno}: {problem} {quoted!r}")
 
 
+def text_chunks(values: list[int] | tuple[int, ...], start: int | None = None):
+    """Yield the lines of values, _ROWS lines at a time: the canonical b-file
+    rows '<index> <value>' from index start, each with a single space and
+    ended by a line feed, or one value a line where start is None.
+
+    Each chunk is one %-format over a cell list that slice assignment fills,
+    so the text is never held whole."""
+    line = "%d\n" if start is None else "%d %d\n"
+    cells = [0] * (2 * _ROWS)  # a row's index cell, then its value cell
+    for lo in range(0, len(values), _ROWS):
+        part = values[lo:lo + _ROWS]
+        n = len(part)
+        if start is not None:
+            del cells[2 * n:]  # the last chunk's rows only
+            cells[0::2] = range(start + lo, start + lo + n)
+            cells[1::2] = part
+            part = cells
+        yield line * n % tuple(part)
+
+
 def serialize_bfile(table: BFileTable) -> str:
-    """Emit one '<index> <value>' line per row, each with a single space and
-    ended by a line feed: the canonical form."""
-    n = len(table.values)
-    rows = zip(range(table.start, table.start + n), table.values)
-    return ("%d %d\n" * n) % tuple(itertools.chain.from_iterable(rows))
+    """The table's text in the canonical form that `text_chunks` writes."""
+    return "".join(text_chunks(table.values, table.start))
 
 
 def cross_check(
-    seq: SequenceDescriptor, table: BFileTable, limit: int
+    seq: SequenceDescriptor,
+    table: BFileTable,
+    limit: int,
+    *,
+    generated: list[int] | None = None,
 ) -> list[tuple[int, int, int]]:
     """Compare generated terms against table rows.
 
     Returns (index, expected, actual) triples where `expected` is the table's
     value (the external reference) and `actual` is the generator's output.
+    `generated`, the generator's terms from its offset where the caller has
+    them already, stands for the generator if it holds as many terms as the
+    rows compared.
     """
     if table.sequence_id and table.sequence_id != seq.id:
         raise ValueError(f"table is for {table.sequence_id!r}, descriptor is {seq.id!r}")
@@ -210,9 +255,49 @@ def cross_check(
             f"catalogue offset is {seq.offset}"
         )
     values = table.values[:limit]
-    generated = seq.terms(seq.offset, seq.offset + len(values))
+    if generated is None or len(generated) != len(values):
+        generated = seq.terms(seq.offset, seq.offset + len(values))
     rows = zip(itertools.count(table.start), values, generated)
     return list(itertools.compress(rows, map(operator.ne, values, generated)))
+
+
+def cross_check_text(
+    seq: SequenceDescriptor, text: str, limit: int
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """The rows checked and the mismatches of b-file text against a generator:
+    those of `cross_check(seq, parse_bfile(text, seq.id), limit)`, with its
+    errors.
+
+    Text is first checked as text.  If it is canonical in form after its
+    leading '#' lines, its first and last rows are at the indices that 1 to
+    limit rows from the offset would have, and it holds no '-', those rows
+    are generated once and each chunk that `text_chunks` writes of them is
+    compared in place, up to the first that differs.  Only text that
+    differs, or fails one of those checks, is parsed, and the terms already
+    generated are compared with its table.  So a negative value, or an index
+    gap that the last row's index shows, is found by the parse before any
+    term is generated.
+    """
+    pos = _rows_start(text)
+    rows = text.count("\n", pos)
+    last = text.rfind("\n", pos, len(text) - 1) + 1 or pos
+    generated = None
+    if (
+        0 < rows <= limit
+        and text.startswith(f"{seq.offset} ", pos)
+        and text.startswith(f"{seq.offset + rows - 1} ", last)
+        and text.find("-", pos) < 0
+        and None not in _canonical_chunks(text, pos)
+    ):
+        generated = seq.terms(seq.offset, seq.offset + rows)
+        for chunk in text_chunks(generated, seq.offset):
+            if not text.startswith(chunk, pos):
+                break
+            pos += len(chunk)
+        else:
+            return rows, []
+    table = parse_bfile(text, seq.id)
+    return min(limit, len(table)), cross_check(seq, table, limit, generated=generated)
 
 
 def fixture_table(sequence_id: str) -> BFileTable:

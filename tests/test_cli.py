@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import errno
 import gc
 import http.client
@@ -359,6 +360,108 @@ def test_check_bfile_offset_mismatch_is_a_failure(capsys, tmp_path):
     )
     assert code == 1
     assert "offset mismatch" in err
+
+
+def _parse_route(seq, text, limit):
+    """`oeis.cross_check_text` as a parse of the whole text, the route it
+    takes for text that differs from what the writer would write."""
+    table = oeis.parse_bfile(text, seq.id)
+    return min(limit, len(table)), oeis.cross_check(seq, table, limit)
+
+
+def _counting(monkeypatch, seq_id):
+    """The (lo, hi) of every terms call the CLI makes for seq_id, as they come."""
+    seq, calls = CATALOGUE[seq_id], []
+
+    def terms(lo, hi):
+        calls.append((lo, hi))
+        return seq.terms(lo, hi)
+
+    monkeypatch.setitem(CATALOGUE, seq_id, dataclasses.replace(seq, terms=terms))
+    return calls
+
+
+def _change_row(text, index):
+    """The b-file text with the value at one index raised by one."""
+    head, row, tail = text.partition(f"\n{index} ")
+    value, _, rest = tail.partition("\n")
+    return f"{head}{row}{int(value) + 1}\n{rest}"
+
+
+# 3000 rows: eleven full 256-row chunks and a partial last one
+WRITTEN_ROWS = 3000
+
+
+@pytest.mark.parametrize("edit, extra, parsed", [
+    (lambda text: text, [], False),
+    (lambda text: _change_row(text, 2990), [], True),
+    (lambda text: text.replace("\n", "\r\n"), [], True),
+    (lambda text: text[:-1], [], True),
+    (lambda text: "# A104258\n# written by gen\n" + text, [], False),
+    (lambda text: "# A104258\n# no rows\n", [], True),
+    (lambda text: "".join(f"{int(i) + 1} {v}\n" for i, v in map(str.split, text.splitlines())),
+     [], True),
+    (lambda text: text, ["--limit", "100"], True),
+    (lambda text: re.sub(r"\n1500 \d+\n", "\n", text), [], True),
+    (lambda text: text.replace("\n2990 ", "\n2990 -"), [], True),
+], ids=["written", "last-chunk-changed", "crlf", "no-final-newline", "comment-block",
+        "comments-only", "first-index-off-by-one", "limit-below-rows", "index-gap",
+        "negative-value"])
+def test_check_bfile_text_route_answers_as_the_parse_route(
+    capsys, monkeypatch, tmp_path, edit, extra, parsed
+):
+    code, written, _ = run_cli(
+        capsys, "gen", "A104258", "--count", str(WRITTEN_ROWS), "--format", "bfile"
+    )
+    assert code == 0
+    path = tmp_path / "b104258.txt"
+    path.write_bytes(edit(written).encode())
+    argv = ["check-bfile", "A104258", "--file", str(path), *extra]
+    parses, parse = [], oeis.parse_bfile
+    monkeypatch.setattr(oeis, "parse_bfile", lambda *a: parses.append(a) or parse(*a))
+    calls = _counting(monkeypatch, "A104258")
+    by_text = run_cli(capsys, *argv)
+    assert bool(parses) == parsed
+    text_calls = calls[:]
+    calls.clear()
+    monkeypatch.setattr(oeis, "cross_check_text", _parse_route)
+    assert run_cli(capsys, *argv) == by_text
+    # the same terms, each generated once, whichever route answers: none
+    # where the file is not a b-file
+    assert text_calls == calls
+    assert len(calls) <= 1
+
+
+def test_check_bfile_finds_a_changed_value_in_the_last_chunk(capsys, tmp_path):
+    _, written, _ = run_cli(
+        capsys, "gen", "A104258", "--count", str(WRITTEN_ROWS), "--format", "bfile"
+    )
+    path = tmp_path / "b104258.txt"
+    path.write_text(_change_row(written, 2990), encoding="utf-8")
+    code, out, err = run_cli(capsys, "check-bfile", "A104258", "--file", str(path))
+    got = int(written.split("\n2990 ")[1].split("\n")[0])
+    assert (code, err) == (1, "")
+    assert out == (f"2990 expected {got + 1} got {got}\n"
+                   f"A104258: checked {WRITTEN_ROWS} terms, 1 mismatches\n")
+
+
+def test_a_malformed_bfile_errors_before_any_term_is_generated(capsys, monkeypatch, tmp_path):
+    rows = [f"{n} {n.bit_count() & 1}" for n in range(10_000)]
+    rows[9990] = rows[9990].replace(" ", "  ")  # not the canonical form
+    path = tmp_path / "b010060.txt"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rows[9991] = "9991 x"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    calls = _counting(monkeypatch, "A010060")
+    code, out, err = run_cli(capsys, "check-bfile", "A010060", "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: line 9992: non-integer token in '9991 x'\n"
+    assert calls == []
+    # the same file less the bad token is parsed, then generated once
+    code, out, err = run_cli(capsys, "check-bfile", "A010060", "--file", str(path))
+    assert (code, out, err) == (0, "A010060: checked 10000 terms, 0 mismatches\n", "")
+    assert calls == [(0, 10_000)]
 
 
 def test_check_bfile_fetch_offline_uses_fixture(capsys, tmp_path):
@@ -1162,3 +1265,39 @@ def test_verify_holds_one_window_of_terms_at_a_time():
     assert code == 0
     assert "A104258  claimed: FAIL" in result.stdout
     assert growth_kib / 1024 < VERIFY_WIDE_PEAK_GROWTH_MB
+
+
+# Peak memory of `gen A010060 --count 1000000` in a fresh interpreter, above
+# what it holds once the package is imported.  On a 2-vCPU VM (Python 3.10 to
+# 3.13) the b-file form grew VmHWM by 76.3-76.5 MB when the whole text was
+# formatted from a BFileTable copy and a flat row tuple, and by 8.6-8.7 MB
+# when it is written 256 rows at a time; plain output by 20.0-20.1 MB as one
+# string and by 8.6-8.7 MB in chunks, the term list being 8 MB of it.  Each
+# bound sits between the two.
+GEN_PEAK_GROWTH_MB = {"bfile": 40, "plain": 14}
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("fmt", ["bfile", "plain"])
+def test_gen_writes_a_million_terms_a_chunk_at_a_time(tmp_path, fmt):
+    probe = (
+        "import re, sys; from seqparity.cli import main; "
+        f"before = {_PEAK_KIB}; "
+        f"code = main(['gen', 'A010060', '--count', '1000000', '--format', '{fmt}']); "
+        f"print(code, {_PEAK_KIB} - before, file=sys.stderr)"
+    )
+    out = tmp_path / "out.txt"
+    with out.open("wb") as stdout:
+        result = subprocess.run(
+            [sys.executable, "-c", probe], stdout=stdout, stderr=subprocess.PIPE, text=True,
+            env=_source_env(),
+        )
+    code, growth_kib = map(int, result.stderr.split())
+    assert code == 0
+    last = f"999999 {thue_morse(999999)}\n" if fmt == "bfile" else f"{thue_morse(999999)}\n"
+    with out.open("rb") as written:
+        lines = sum(1 for _ in written)
+        written.seek(-len(last), os.SEEK_END)
+        assert written.read().decode() == last
+    assert lines == 1_000_000
+    assert growth_kib / 1024 < GEN_PEAK_GROWTH_MB[fmt]

@@ -248,14 +248,40 @@ def test_parsing_4096_short_rows_peaks_below_a_measured_bound():
 
 
 def test_serializing_4096_rows_peaks_below_a_measured_bound():
-    # tracemalloc measured a 397,557-byte peak (Python 3.11; 382,589 to
-    # 397,557 on 3.10 to 3.13) for one %-format over the flat row tuple: the
-    # tuple, the index ints, the format string and the 158,162-byte text.
-    # Joining one f-string per row peaked at 517,517 to 550,565 bytes.
+    # tracemalloc measured a 317,557-byte peak (Python 3.11; 317,389 to
+    # 317,557 on 3.10 to 3.13) for the 158,162-byte text joined from the
+    # writer's 256-row chunks: the chunks and the text, beside one chunk's
+    # cells and format string.  One %-format over the flat row tuple peaked
+    # at 382,589 to 397,557 bytes, and joining one f-string per row at
+    # 517,517 to 550,565.
     table = catalogue_table("A104258", 4096)
     text, peak = traced_peak(serialize_bfile, table)
     assert len(text) == 158_162
     assert peak < 450_000
+
+
+def test_checking_4096_rows_by_their_text_peaks_below_a_measured_bound():
+    # tracemalloc measured a 259,020-byte peak (Python 3.11; 258,968 to
+    # 259,020 on 3.10 to 3.13) for checking these 158,162 bytes of text,
+    # which it does not count: the generated terms and one 256-row chunk.
+    # With 1024-row chunks it peaked at 377,165 to 380,289 bytes, and
+    # parsing the text before the check at 415,848 to 417,560.
+    seq = CATALOGUE["A104258"]
+    text = serialize_bfile(catalogue_table(seq.id, 4096))
+    checked, peak = traced_peak(oeis.cross_check_text, seq, text, 4096)
+    assert checked == (4096, [])
+    assert peak < 320_000
+
+
+def test_text_chunks_write_256_rows_at_a_time():
+    values = [3 * k for k in range(600)]
+    chunks = list(oeis.text_chunks(values, 7))
+    assert [chunk.count("\n") for chunk in chunks] == [256, 256, 88]
+    assert "".join(chunks) == "".join(f"{7 + k} {v}\n" for k, v in enumerate(values))
+    plain = list(oeis.text_chunks(tuple(values)))
+    assert [chunk.count("\n") for chunk in plain] == [256, 256, 88]
+    assert "".join(plain) == "".join(f"{v}\n" for v in values)
+    assert list(oeis.text_chunks([], 0)) == list(oeis.text_chunks([])) == []
 
 
 def test_serialize_examples():

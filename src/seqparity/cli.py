@@ -21,14 +21,23 @@ DEFAULT_N_MAX_CHEAP = 4096
 DEFAULT_N_MAX_HEAVY = 512
 
 
-def _emit_terms(seq_id: str, start: int, values: list[int], fmt: str) -> None:
-    if fmt == "json":
-        import json
+def _emit_terms(seq_id: str, start: int, values: list[int] | bytes, fmt: str) -> None:
+    _write_chunks(_json_chunks(seq_id, start, values) if fmt == "json"
+                  else oeis.text_chunks(values, start if fmt == "bfile" else None))
 
-        record = {"id": seq_id, "from": start, "count": len(values), "terms": values}
-        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-    else:
-        _write_chunks(oeis.text_chunks(values, start if fmt == "bfile" else None))
+
+def _json_chunks(seq_id: str, start: int, values: list[int] | bytes):
+    """Yield the text json.dumps(record, sort_keys=True) + "\n" gives for the
+    record {"id", "from", "count", "terms"}: a fixed head, the terms in
+    `oeis.text_chunks`' chunks joined by ", ", and the tail."""
+    import json
+
+    yield f'{{"count": {len(values)}, "from": {start}, "id": {json.dumps(seq_id)}, "terms": ['
+    sep = ""
+    for chunk in oeis.text_chunks(values):  # one term a line
+        yield sep + chunk[:-1].replace("\n", ", ")
+        sep = ", "
+    yield "]}\n"
 
 
 def _write_chunks(chunks) -> None:
@@ -47,7 +56,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise ValueError(f"--count must be positive, got {args.count}")
     values = seq.terms(start, start + args.count)
     if args.command == "parity":
-        values = [v & 1 for v in values]
+        values = bytes(v & 1 for v in values)  # a byte a bit, and no term list kept
     _emit_terms(args.id, start, values, args.format)
     return 0
 

@@ -205,7 +205,7 @@ def _row_error(lineno: int, raw: str, problem: str) -> BFileFormatError:
     return BFileFormatError(f"line {lineno}: {problem} {quoted!r}")
 
 
-def text_chunks(values: list[int] | tuple[int, ...], start: int | None = None):
+def text_chunks(values: list[int] | tuple[int, ...] | bytes, start: int | None = None):
     """Yield the lines of values, _ROWS lines at a time: the canonical b-file
     rows '<index> <value>' from index start, each with a single space and
     ended by a line feed, or one value a line where start is None.

@@ -345,14 +345,17 @@ def _split_at(seq: SequenceDescriptor, n_max: int) -> int:
     the offset where it is not cut.
 
     A BIGNUM_HEAVY range of _HEAVY_SPLIT_MIN terms or more is cut at 0.7
-    (n_max + 1).  A step of the lcm sums at n costs about n**2 (n/2 summands
-    of about n bits), and the top half also walks its first n in full, so
-    the halves balance there near 1024 terms: [0, 717) and [717, 1025) took
-    34.0 and 33.7 ms on a 2-vCPU VM.  Further up the top half costs more, as
-    its window-start pass grows faster than n**2: [0, 2867) and [2867, 4097)
-    took 0.41 and 0.52 s, [0, 5735) and [5735, 8193) 2.14 and 3.72 s.  The
-    cut depends on n_max alone, so A093431 is cut where its base A061297 is
-    and still derives every window, and the range above it stays at least a
+    (n_max + 1), where the halves balance near 1024 terms: [0, 717) and
+    [717, 1025) took 34.0 and 33.7 ms on a 2-vCPU VM.  The steps of the lcm
+    sums take the time, not the top half's walk of its first n:
+    a061297_terms(2867, 2868) takes 0.56 ms, of 0.39 s for [2867, 4097).  A
+    step at n adds n/2 summands of about n bits, so once they outgrow the
+    per-operation overhead it costs about n**2, and the cut that balances
+    the halves rises with n_max toward 2**(-1/3), about 0.79: it is about
+    0.67 at 512 terms, 0.70 at 1024 and 0.76 at 4096, where [0, 3072) and
+    [3072, 4097) took 0.32 and 0.335 s (Python 3.11.7).  The cut depends on
+    n_max alone, so A093431 is cut where its base A061297 is and still
+    derives every window, and the range above it stays at least a
     sixth of its stop wide, so that its window steps through n
     (lcm_sums._a061297_window).  Any other range is cut at the multiple of W
     that halves its windows, so a range of one window is not cut: a heavy

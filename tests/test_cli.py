@@ -74,6 +74,25 @@ def test_gen_json(capsys):
     }
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "A061297", "--count", "1"],
+    ["gen", "A061297", "--count", "600"],  # big integers, in three chunks
+    ["parity", "A029886", "--from", "65530", "--count", "600"],
+    ["gen", "m", "--count", "20"],
+])
+def test_gen_json_is_the_text_of_json_dumps(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    seq = CATALOGUE[argv[1]]
+    start = int(argv[argv.index("--from") + 1]) if "--from" in argv else seq.offset
+    count = int(argv[-1])
+    terms = seq.terms(start, start + count)
+    if argv[0] == "parity":
+        terms = [v & 1 for v in terms]
+    record = {"id": argv[1], "from": start, "count": count, "terms": terms}
+    assert out == json.dumps(record, sort_keys=True) + "\n"
+
+
 def test_gen_defaults_to_sequence_offset(capsys):
     code, out, _ = run_cli(capsys, "gen", "A093431", "--count", "3")
     assert code == 0
@@ -1272,18 +1291,23 @@ def test_verify_holds_one_window_of_terms_at_a_time():
 # 3.13) the b-file form grew VmHWM by 76.3-76.5 MB when the whole text was
 # formatted from a BFileTable copy and a flat row tuple, and by 8.6-8.7 MB
 # when it is written 256 rows at a time; plain output by 20.0-20.1 MB as one
-# string and by 8.6-8.7 MB in chunks, the term list being 8 MB of it.  Each
-# bound sits between the two.
-GEN_PEAK_GROWTH_MB = {"bfile": 40, "plain": 14}
+# string and by 8.6-8.7 MB in chunks, the term list being 8 MB of it.  JSON
+# output grew it by 14.5-15.9 MB as one json.dumps string and by 8.5-8.6 MB in
+# chunks; `parity` of the same terms by 16.2-16.9 MB with a second list of its
+# bits and by 8.6 MB with the bits in one bytes object.  Each bound sits
+# between the two.
+GEN_PEAK_GROWTH_MB = {"bfile": 40, "plain": 14, "json": 12, "parity": 12}
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-@pytest.mark.parametrize("fmt", ["bfile", "plain"])
+@pytest.mark.parametrize("fmt", ["bfile", "plain", "json", "parity"])
 def test_gen_writes_a_million_terms_a_chunk_at_a_time(tmp_path, fmt):
+    # "parity" is the parity command's plain output; the bits of A010060 are its terms
+    argv = ["parity", "A010060"] if fmt == "parity" else ["gen", "A010060", "--format", fmt]
     probe = (
         "import re, sys; from seqparity.cli import main; "
         f"before = {_PEAK_KIB}; "
-        f"code = main(['gen', 'A010060', '--count', '1000000', '--format', '{fmt}']); "
+        f"code = main({argv + ['--count', '1000000']}); "
         f"print(code, {_PEAK_KIB} - before, file=sys.stderr)"
     )
     out = tmp_path / "out.txt"
@@ -1294,10 +1318,11 @@ def test_gen_writes_a_million_terms_a_chunk_at_a_time(tmp_path, fmt):
         )
     code, growth_kib = map(int, result.stderr.split())
     assert code == 0
-    last = f"999999 {thue_morse(999999)}\n" if fmt == "bfile" else f"{thue_morse(999999)}\n"
+    last = {"bfile": f"999999 {thue_morse(999999)}\n",
+            "json": f", {thue_morse(999999)}]}}\n"}.get(fmt, f"{thue_morse(999999)}\n")
     with out.open("rb") as written:
         lines = sum(1 for _ in written)
         written.seek(-len(last), os.SEEK_END)
         assert written.read().decode() == last
-    assert lines == 1_000_000
+    assert lines == (1 if fmt == "json" else 1_000_000)
     assert growth_kib / 1024 < GEN_PEAK_GROWTH_MB[fmt]
